@@ -5,9 +5,10 @@ f(g(w))``, so a written product applies its rightmost factor first.  Every
 step-by-step chain in the bundled scenarios depends on this reading.
 
 Automorphism certification goes through Nielsen reduction: a tuple of n words
-is a basis of the rank-n free group exactly when length-decreasing Nielsen
-moves drive it down to a permutation of possibly-inverted generators.  The
-reduction log doubles as the inversion witness.
+is a basis of the rank-n free group exactly when Nielsen moves that descend
+in the Lyndon-Schupp well-order drive it down to a permutation of
+possibly-inverted generators.  The reduction log doubles as the inversion
+witness.
 """
 
 from __future__ import annotations
@@ -229,9 +230,8 @@ def equal_up_to_inner(f: Endomorphism, g: Endomorphism) -> Optional[Word]:
 
 # --- Nielsen reduction -----------------------------------------------------
 
-# A log entry (side, i, j, sign) records u_i <- u_i * u_j^sign for side "R",
-# u_i <- u_j^sign * u_i for side "L", and u_i <- u_i^-1 for side "I" (j and
-# sign are ignored there).
+# A log entry (side, i, j, sign) records u_i <- u_i * u_j^sign for side "R"
+# and u_i <- u_j^sign * u_i for side "L".
 NielsenMove = tuple[str, int, int, int]
 
 
@@ -241,32 +241,43 @@ def apply_nielsen_log(
     """Replay a transformation log; reconstructs nielsen_reduce output."""
     out = list(words)
     for side, i, j, sign in log:
-        if side == "I":
-            out[i] = invert(out[i])
-            continue
         factor = out[j] if sign > 0 else invert(out[j])
         out[i] = multiply(out[i], factor) if side == "R" else multiply(factor, out[i])
     return tuple(out)
 
 
-def _word_key(w: Word) -> tuple:
-    """Well-order used to break length ties: generator index first, plain
-    letter before inverse."""
-    return tuple((abs(a), 0 if a > 0 else 1) for a in w.letters)
+def _half_key(letters: Sequence[int]) -> tuple[int, ...]:
+    """Letter sequence in the order x1 < x1^-1 < x2 < x2^-1 < ..."""
+    return tuple(2 * a if a > 0 else -2 * a + 1 for a in letters)
+
+
+def _pair_key(w: Word) -> tuple:
+    """Lyndon-Schupp well-order on the pair {w, w^-1}: length, then the
+    smaller and then the larger of the left halves (first ceil(|w|/2)
+    letters) of w and w^-1."""
+    letters = w.letters
+    half = (len(letters) + 1) // 2
+    left = _half_key(letters[:half])
+    left_inv = _half_key([-a for a in letters[: -half - 1 : -1]]) if half else ()
+    if left_inv < left:
+        left, left_inv = left_inv, left
+    return (len(letters), left, left_inv)
 
 
 def nielsen_reduce(
     words: Sequence[Word],
 ) -> tuple[tuple[Word, ...], list[NielsenMove]]:
-    """Classical length-decreasing Nielsen reduction.
+    """Nielsen reduction by descent in the Lyndon-Schupp well-order.
 
-    Repeatedly applies the single elementary move u_i <- u_j^s * u_i,
-    u_i <- u_i * u_j^s, or u_i <- u_i^-1 that most improves the pair
-    (length of u_i, letter sequence of u_i); between strict length drops this
-    lexicographic tie-break rebalances half-cancelling products, which pure
-    length descent can stall on.  Every step strictly decreases a well-founded
-    key, so the pass terminates; ties in the move choice break on
-    (i, j, side, sign) for determinism.
+    Repeatedly applies the elementary move u_i <- u_j^s * u_i or
+    u_i <- u_i * u_j^s that most lowers u_i in the order of :func:`_pair_key`
+    (length first, then the left halves of u_i and u_i^-1).  A tuple on which
+    no move lowers any entry satisfies the reduction conditions N1 and N2
+    (Lyndon-Schupp, *Combinatorial Group Theory*, Prop. I.2.2), so a basis
+    always ends as a signed permutation of the generators; a length-only or
+    whole-word tie-break can stall short of that.  Every step strictly lowers
+    one entry in a well-order, so the pass terminates; ties in the move
+    choice break on (i, j, side, sign) for determinism.
     """
     if not words:
         raise ValueError("need a nonempty tuple of words")
@@ -282,19 +293,7 @@ def nielsen_reduce(
         best_move: NielsenMove | None = None
         best_word: Word | None = None
         for i in range(len(tup)):
-            current = (len(tup[i]), _word_key(tup[i]))
-
-            def consider(cand: Word, move: NielsenMove) -> None:
-                nonlocal best_key, best_move, best_word
-                if (len(cand), _word_key(cand)) >= current:
-                    return
-                key = (len(cand) - current[0], _word_key(cand), move)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_move = move
-                    best_word = cand
-
-            consider(invert(tup[i]), ("I", i, i, 1))
+            current = _pair_key(tup[i])
             for j in range(len(tup)):
                 if i == j:
                     continue
@@ -306,7 +305,17 @@ def nielsen_reduce(
                             if side == "L"
                             else multiply(tup[i], factor)
                         )
-                        consider(cand, (side, i, j, sign))
+                        if len(cand) > current[0]:
+                            continue
+                        cand_key = _pair_key(cand)
+                        if cand_key >= current:
+                            continue
+                        move = (side, i, j, sign)
+                        key = (cand_key[0] - current[0], cand_key, move)
+                        if best_key is None or key < best_key:
+                            best_key = key
+                            best_move = move
+                            best_word = cand
         if best_move is None:
             break
         assert best_word is not None

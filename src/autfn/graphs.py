@@ -62,10 +62,6 @@ class Graph:
     def _edge_index(self) -> dict[str, tuple[str, str]]:
         return {name: (src, dst) for name, src, dst in self.edges}
 
-    def is_loop(self, edge_id: str) -> bool:
-        src, dst = self.endpoints(edge_id)
-        return src == dst
-
     def rank(self) -> int:
         """First Betti number |E| - |V| + 1."""
         return len(self.edges) - len(self.vertices) + 1

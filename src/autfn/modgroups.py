@@ -1,64 +1,187 @@
 """Finite matrix groups over Z/m: enumeration, normal closures, kernels,
 centers, simplicity, section searches, and GF(2) obstruction systems.
 
-Elements are row-major ``bytes`` of length n*n with entries reduced mod m, so
-they hash cheaply and enumeration stays array-driven.  Tables are immutable
-once built and safe to share; element order is canonical (sorted after
-closure), so repeated runs produce identical tables.
+An n x n matrix over Z/m is one integer, its *code*: the row-major entries
+read as base-m digits, first entry most significant (:func:`encode`,
+:func:`decode`).  Numeric order on codes is the lexicographic order on entry
+sequences, so sorted element tables are canonical and repeated runs produce
+identical tables.
+
+Read in base M = m^n, a code has one digit per row, the row's own code.  Many
+maps act on each row separately: right multiplication by a fixed matrix, the
+reduction mod a divisor p of m, and transposition after either.  Such a *row
+map* is n lookups in tables of M entries, one table per row position, whose
+results add up to the image code (:func:`_row_map`).  Enumeration, normal
+closures and the kernel checks multiply through row maps of their generators,
+and conjugation by g is two of them (x g^-1, then g x g^-1 read through the
+transpose).  Tables are built on first use, never at import.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from bisect import bisect_left
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
+from itertools import islice, product
+from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
-from .matrices import IntMatrix, ResidueMatrix
-
-Mat = bytes
+Mat = int
 
 
 class EnumerationCapError(RuntimeError):
     """Breadth-first closure exceeded the configured size cap."""
 
 
-# --- raw matrix arithmetic on packed bytes ----------------------------------
+# --- matrix codes --------------------------------------------------------------
 
 
-def mat_identity(n: int) -> Mat:
+def encode(entries: Iterable[int], m: int) -> Mat:
+    """Code of the matrix with these row-major entries, each reduced mod m."""
+    code = 0
+    for e in entries:
+        code = code * m + e % m
+    return code
+
+
+def decode(code: Mat, n: int, m: int) -> bytes:
+    """Row-major entries of a code; inverse of :func:`encode`."""
     out = bytearray(n * n)
-    for i in range(n):
-        out[i * n + i] = 1
+    for i in range(n * n - 1, -1, -1):
+        code, out[i] = divmod(code, m)
     return bytes(out)
+
+
+def _row_map(tables: Sequence[Sequence[int]], base: int) -> Callable[[Mat], Mat]:
+    """x -> sum of tables[k][row k of x], the rows being the base-``base``
+    digits of x, most significant first."""
+    backwards = tables[::-1]
+
+    def apply(x: Mat) -> Mat:
+        out = 0
+        for t in backwards:
+            x, r = divmod(x, base)
+            out += t[r]
+        return out
+
+    return apply
+
+
+class _Space:
+    """Codes of n x n matrices over Z/m and the row maps that act on them."""
+
+    def __init__(self, n: int, m: int) -> None:
+        self.n = n
+        self.m = m
+        self.base = m**n  # number of row codes
+        self.place = [m ** (n - 1 - j) for j in range(n)]  # entry j in a row
+        self.row_place = [self.base ** (n - 1 - k) for k in range(n)]
+        self.row_entries = [
+            tuple(r // w % m for w in self.place) for r in range(self.base)
+        ]
+        self._conjugators: dict[Mat, Callable[[Mat], Mat]] = {}
+
+    def rows(self, a: Mat) -> list[tuple[int, ...]]:
+        return [self.row_entries[a // w % self.base] for w in self.row_place]
+
+    def _times(self, row: Sequence[int], cols: Sequence[Sequence[int]]) -> int:
+        """Row code of row * b, given the columns of b."""
+        m = self.m
+        return sum(sum(map(mul, row, col)) % m * w for col, w in zip(cols, self.place))
+
+    def mul(self, a: Mat, b: Mat) -> Mat:
+        cols = list(zip(*self.rows(b)))
+        return sum(
+            self._times(row, cols) * w for row, w in zip(self.rows(a), self.row_place)
+        )
+
+    def row_products(self, b: Mat) -> list[int]:
+        """Row code of r * b for every row code r."""
+        cols = list(zip(*self.rows(b)))
+        return [self._times(row, cols) for row in self.row_entries]
+
+    def right(self, b: Mat) -> Callable[[Mat], Mat]:
+        """x -> x * b."""
+        products = self.row_products(b)
+        return _row_map([[v * w for v in products] for w in self.row_place], self.base)
+
+    @cached_property
+    def column(self) -> list[list[int]]:
+        """column[k][r]: the code with row code r written as column k."""
+        n, m = self.n, self.m
+        return [
+            [
+                sum(e * m ** (n * n - 1 - (j * n + k)) for j, e in enumerate(row))
+                for row in self.row_entries
+            ]
+            for k in range(n)
+        ]
+
+    def right_transposed(self, b: Mat) -> Callable[[Mat], Mat]:
+        """x -> (x * b)^T."""
+        products = self.row_products(b)
+        return _row_map([[col[v] for v in products] for col in self.column], self.base)
+
+    def conjugator(self, g: Mat) -> Callable[[Mat], Mat]:
+        """x -> g x g^-1, as (g^-1)-then-transpose followed by g^T-then-transpose.
+        Kept per g: callers ask for the conjugators of group generators."""
+        step = self._conjugators.get(g)
+        if step is None:
+            n, m = self.n, self.m
+            first = self.right_transposed(mat_inv(g, n, m))
+            second = self.right_transposed(_transpose(g, n, m))
+            step = self._conjugators[g] = lambda x: second(first(x))
+        return step
+
+
+@lru_cache(maxsize=None)
+def _space(n: int, m: int) -> _Space:
+    return _Space(n, m)
+
+
+@lru_cache(maxsize=None)
+def _projection(n: int, m: int, p: int) -> Callable[[Mat], Mat]:
+    """Entrywise reduction mod p, from codes mod m to codes mod p."""
+    space = _space(n, m)
+    rows = [encode(row, p) for row in space.row_entries]
+    return _row_map(
+        [[v * p ** (n * (n - 1 - k)) for v in rows] for k in range(n)], space.base
+    )
+
+
+# --- matrix arithmetic on codes ------------------------------------------------
+
+
+def mat_identity(n: int, m: int) -> Mat:
+    return encode((1 if i == j else 0 for i in range(n) for j in range(n)), m)
 
 
 def mat_mul(a: Mat, b: Mat, n: int, m: int) -> Mat:
-    out = bytearray(n * n)
-    for i in range(n):
-        base = i * n
-        for j in range(n):
-            s = 0
-            for k in range(n):
-                s += a[base + k] * b[k * n + j]
-            out[base + j] = s % m
-    return bytes(out)
+    return _space(n, m).mul(a, b)
+
+
+def _transpose(a: Mat, n: int, m: int) -> Mat:
+    e = decode(a, n, m)
+    return encode((e[j * n + i] for i in range(n) for j in range(n)), m)
+
+
+def _det(e: Sequence[int], n: int, m: int) -> int:
+    """Determinant of row-major entries mod m by cofactor expansion."""
+    if n == 1:
+        return e[0] % m
+    total = 0
+    for j in range(n):
+        if e[j] == 0:
+            continue
+        minor = [e[r * n + c] for r in range(1, n) for c in range(n) if c != j]
+        cof = _det(minor, n - 1, m)
+        total += (e[j] * cof) if j % 2 == 0 else (-e[j] * cof)
+    return total % m
 
 
 def mat_det(a: Mat, n: int, m: int) -> int:
     """Determinant mod m by cofactor expansion; n stays desk-sized."""
-    if n == 1:
-        return a[0] % m
-    total = 0
-    rest = [a[r * n + c] for r in range(1, n) for c in range(n)]
-    for j in range(n):
-        if a[j] == 0:
-            continue
-        minor = bytes(
-            rest[r * n + c] for r in range(n - 1) for c in range(n) if c != j
-        )
-        cof = mat_det(minor, n - 1, m)
-        total += (a[j] * cof) if j % 2 == 0 else (-a[j] * cof)
-    return total % m
+    return _det(decode(a, n, m), n, m)
 
 
 def _unit_inverse(d: int, m: int) -> int:
@@ -71,62 +194,40 @@ def _unit_inverse(d: int, m: int) -> int:
 
 def mat_inv(a: Mat, n: int, m: int) -> Mat:
     """Adjugate divided by the determinant; requires det to be a unit."""
-    d = mat_det(a, n, m)
-    dinv = _unit_inverse(d, m)
-    out = bytearray(n * n)
+    e = decode(a, n, m)
+    dinv = _unit_inverse(_det(e, n, m), m)
+    out = []
     for i in range(n):
         for j in range(n):
-            minor = bytes(
-                a[r * n + c]
-                for r in range(n)
-                if r != j
-                for c in range(n)
-                if c != i
-            )
-            cof = mat_det(minor, n - 1, m)
+            minor = [e[r * n + c] for r in range(n) if r != j for c in range(n) if c != i]
             sign = 1 if (i + j) % 2 == 0 else -1
-            out[i * n + j] = (sign * cof * dinv) % m
-    return bytes(out)
+            out.append(sign * _det(minor, n - 1, m) * dinv)
+    return encode(out, m)
 
 
 def mat_pow(a: Mat, k: int, n: int, m: int) -> Mat:
-    out = mat_identity(n)
+    out = mat_identity(n, m)
     for _ in range(k):
         out = mat_mul(out, a, n, m)
     return out
 
 
-def to_residue_matrix(a: Mat, n: int, m: int) -> ResidueMatrix:
-    return ResidueMatrix(
-        n, m, tuple(tuple(a[i * n + j] for j in range(n)) for i in range(n))
-    )
-
-
-def from_residue_matrix(mtx: ResidueMatrix) -> Mat:
-    return bytes(a for row in mtx.rows for a in row)
-
-
-def from_int_matrix(mtx: IntMatrix, m: int) -> Mat:
-    return bytes(a % m for row in mtx.rows for a in row)
-
-
 def elementary_mat(k: int, r: int, power: int, n: int, m: int) -> Mat:
     if k == r:
         raise ValueError("elementary matrix needs distinct indices")
-    out = bytearray(mat_identity(n))
-    out[(k - 1) * n + (r - 1)] = power % m
-    return bytes(out)
+    return mat_identity(n, m) + (power % m) * m ** (n * n - 1 - ((k - 1) * n + (r - 1)))
 
 
-def project_mod(a: Mat, m_to: int) -> Mat:
-    return bytes(x % m_to for x in a)
+def project_mod(a: Mat, n: int, m: int, m_to: int) -> Mat:
+    """Reduce every entry of a matrix mod ``m_to``."""
+    return _projection(n, m, m_to)(a)
 
 
 # --- group tables ------------------------------------------------------------
 
 
 class FiniteMatrixGroup:
-    """A finite group of residue matrices with dense integer element indices.
+    """A finite group of residue matrices, stored as a sorted table of codes.
 
     ``normalize`` (identity by default) canonicalizes products, which is how
     central quotients reuse this class: elements are distinguished coset
@@ -137,7 +238,7 @@ class FiniteMatrixGroup:
         self,
         n: int,
         modulus: int,
-        elements: Sequence[Mat],
+        elements: Iterable[Mat],
         generators: Sequence[Mat],
         normalize: Optional[Callable[[Mat], Mat]] = None,
     ) -> None:
@@ -145,18 +246,21 @@ class FiniteMatrixGroup:
         self.modulus = modulus
         self.normalize = normalize
         self.elements: tuple[Mat, ...] = tuple(sorted(elements))
-        self.index: dict[Mat, int] = {e: i for i, e in enumerate(self.elements)}
         self.generators: tuple[Mat, ...] = tuple(generators)
-        ident = self._norm(mat_identity(n))
-        if ident not in self.index:
+        ident = self._norm(mat_identity(n, modulus))
+        if ident not in self:
             raise ValueError("table does not contain the identity")
         self.identity: Mat = ident
         for g in self.generators:
-            if g not in self.index:
+            if g not in self:
                 raise ValueError("generator missing from element table")
 
     def _norm(self, a: Mat) -> Mat:
         return a if self.normalize is None else self.normalize(a)
+
+    def _normalized(self, step: Callable[[Mat], Mat]) -> Callable[[Mat], Mat]:
+        norm = self.normalize
+        return step if norm is None else (lambda x: norm(step(x)))
 
     def op(self, a: Mat, b: Mat) -> Mat:
         return self._norm(mat_mul(a, b, self.n, self.modulus))
@@ -164,8 +268,13 @@ class FiniteMatrixGroup:
     def inv(self, a: Mat) -> Mat:
         return self._norm(mat_inv(a, self.n, self.modulus))
 
-    def conj(self, g: Mat, x: Mat) -> Mat:
-        return self.op(self.op(g, x), self.inv(g))
+    def right(self, b: Mat) -> Callable[[Mat], Mat]:
+        """Row map of x -> x * b."""
+        return self._normalized(_space(self.n, self.modulus).right(b))
+
+    def conjugator(self, g: Mat) -> Callable[[Mat], Mat]:
+        """Row maps of x -> g x g^-1."""
+        return self._normalized(_space(self.n, self.modulus).conjugator(g))
 
     def element_order(self, a: Mat) -> int:
         k = 1
@@ -183,39 +292,75 @@ class FiniteMatrixGroup:
         return len(self.elements)
 
     def __contains__(self, a: Mat) -> bool:
-        return a in self.index
+        i = bisect_left(self.elements, a)
+        return i < len(self.elements) and self.elements[i] == a
 
     def subgroup(self, generators: Iterable[Mat]) -> "FiniteMatrixGroup":
         gens = [self._norm(g) for g in generators]
         for g in gens:
-            if g not in self.index:
+            if g not in self:
                 raise ValueError("subgroup generator outside the group")
-        elems = _closure(gens, self.op, self.identity)
+        elems = _closure(gens, self.right, self.identity)
         return FiniteMatrixGroup(self.n, self.modulus, elems, gens, self.normalize)
+
+
+_CHUNK = 4096  # images made between two checks of the size cap
+
+
+def _extend(
+    elems: set[Mat],
+    steps: list[Callable[[Mat], Mat]],
+    step: Callable[[Mat], Mat],
+    cap: Optional[int] = None,
+) -> None:
+    """Grow ``elems``, a group closed under the right multiplications
+    ``steps``, to the group that ``step`` generates along with it.
+
+    A path from the identity leaves the old group only through ``step``, so
+    it suffices to seed with the old group times ``step`` and to expand only
+    new elements by every step.
+    """
+    steps.append(step)
+    frontier = _layer(elems, [step], elems, cap)
+    while frontier:
+        frontier = _layer(frontier, steps, elems, cap)
+
+
+def _layer(
+    frontier: Iterable[Mat],
+    steps: Sequence[Callable[[Mat], Mat]],
+    elems: set[Mat],
+    cap: Optional[int],
+) -> set[Mat]:
+    """Add the images of ``frontier`` under ``steps`` to ``elems`` and return
+    those that were new.  The cap is checked every ``_CHUNK`` images, so at
+    most that many elements pass it before EnumerationCapError."""
+    new: set[Mat] = set()
+    for s in steps:
+        images = map(s, frontier)
+        while chunk := set(islice(images, _CHUNK)):
+            chunk -= elems
+            new |= chunk
+            if cap is not None and len(elems) + len(new) > cap:
+                raise EnumerationCapError(f"closure exceeded cap of {cap} elements")
+    elems |= new
+    return new
 
 
 def _closure(
     gens: Sequence[Mat],
-    op: Callable[[Mat, Mat], Mat],
+    right: Callable[[Mat], Callable[[Mat], Mat]],
     identity: Mat,
     cap: Optional[int] = None,
 ) -> set[Mat]:
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt: list[Mat] = []
-        for x in frontier:
-            for g in gens:
-                y = op(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-                    if cap is not None and len(seen) > cap:
-                        raise EnumerationCapError(
-                            f"closure exceeded cap of {cap} elements"
-                        )
-        frontier = nxt
-    return seen
+    """Elements of the group generated by ``gens``; ``right(g)`` is the map
+    x -> x * g.  A generator already inside adds nothing and is skipped."""
+    elems = {identity}
+    steps: list[Callable[[Mat], Mat]] = []
+    for g in gens:
+        if g not in elems:
+            _extend(elems, steps, right(g), cap)
+    return elems
 
 
 def enumerate_group(
@@ -224,11 +369,11 @@ def enumerate_group(
     generators: Sequence[Mat],
     cap: Optional[int] = 10_000_000,
 ) -> FiniteMatrixGroup:
-    """Breadth-first closure of invertible generators mod ``modulus``."""
+    """Closure of invertible generators mod ``modulus``."""
     for g in generators:
         _unit_inverse(mat_det(g, n, modulus), modulus)  # raises if singular
-    op = lambda a, b: mat_mul(a, b, n, modulus)
-    elems = _closure(list(generators), op, mat_identity(n), cap)
+    space = _space(n, modulus)
+    elems = _closure(list(generators), space.right, mat_identity(n, modulus), cap)
     return FiniteMatrixGroup(n, modulus, elems, list(generators))
 
 
@@ -248,25 +393,23 @@ def sl_group(n: int, modulus: int) -> FiniteMatrixGroup:
 
 
 def center(group: FiniteMatrixGroup) -> list[Mat]:
-    """Elements commuting with every generator."""
-    out = [
-        z
-        for z in group.elements
-        if all(group.op(z, g) == group.op(g, z) for g in group.generators)
-    ]
-    return out
+    """Elements commuting with every generator, i.e. fixed by conjugation."""
+    conjugators = [group.conjugator(g) for g in group.generators]
+    return [z for z in group.elements if all(c(z) == z for c in conjugators)]
 
 
 def quotient_by_center(group: FiniteMatrixGroup) -> FiniteMatrixGroup:
-    """Central quotient with min-bytes coset representatives."""
+    """Central quotient with least-code coset representatives."""
     zs = center(group)
     if len(zs) == 1:
         return group
+    space = _space(group.n, group.modulus)
+    times = [space.right(z) for z in zs]
 
     def rep(a: Mat) -> Mat:
-        return min(mat_mul(a, z, group.n, group.modulus) for z in zs)
+        return min(t(a) for t in times)
 
-    reps = sorted({rep(e) for e in group.elements})
+    reps = {rep(e) for e in group.elements}
     gen_reps: list[Mat] = []
     for g in group.generators:
         r = rep(g)
@@ -281,27 +424,31 @@ def psl_group(n: int, modulus: int) -> FiniteMatrixGroup:
 
 
 def conjugacy_classes(group: FiniteMatrixGroup) -> list[list[Mat]]:
-    """Orbit partition under conjugation by the generators."""
-    gens = list(group.generators)
-    gen_invs = [group.inv(g) for g in gens]
-    seen = [False] * len(group.elements)
+    """Orbit partition under conjugation by the generators, each generator
+    acting as a permutation of element positions."""
+    elements = group.elements
+    position = {e: i for i, e in enumerate(elements)}
+    perms = [
+        [position[y] for y in map(group.conjugator(g), elements)]
+        for g in group.generators
+    ]
+    seen = [False] * len(elements)
     classes: list[list[Mat]] = []
-    for idx, e in enumerate(group.elements):
+    for idx in range(len(elements)):
         if seen[idx]:
             continue
         seen[idx] = True
-        orbit = [e]
-        queue = [e]
+        orbit = [idx]
+        queue = [idx]
         while queue:
             x = queue.pop()
-            for g, gi in zip(gens, gen_invs):
-                y = group.op(group.op(g, x), gi)
-                yi = group.index[y]
-                if not seen[yi]:
-                    seen[yi] = True
+            for perm in perms:
+                y = perm[x]
+                if not seen[y]:
+                    seen[y] = True
                     orbit.append(y)
                     queue.append(y)
-        classes.append(orbit)
+        classes.append([elements[i] for i in orbit])
     return classes
 
 
@@ -310,30 +457,30 @@ def normal_closure(
 ) -> FiniteMatrixGroup:
     """Smallest normal subgroup containing the seeds.
 
-    The generating set is closed under conjugation by the group's generators,
-    re-enumerating the generated subgroup whenever a new conjugate appears.
+    Candidates start as the seeds; one outside the current closure becomes a
+    generator, the closure is extended by it in place, and its conjugates by
+    the group's generators become candidates.  The closure is then normal,
+    because every kept generator has its conjugates inside.  Once it reaches
+    the order of the group it is the whole group, and the group is returned.
     """
-    gens: list[Mat] = []
+    candidates: list[Mat] = []
     for s in seeds:
         s = group._norm(s)
-        if s not in group.index:
+        if s not in group:
             raise ValueError("seed lies outside the group")
-        if s not in gens:
-            gens.append(s)
-    if not gens:
-        return group.subgroup([])
-    elems = _closure(gens, group.op, group.identity)
-    changed = True
-    while changed:
-        changed = False
-        for g in group.generators:
-            gi = group.inv(g)
-            for s in list(gens):
-                c = group.op(group.op(g, s), gi)
-                if c not in elems:
-                    gens.append(c)
-                    elems = _closure(gens, group.op, group.identity)
-                    changed = True
+        candidates.append(s)
+    conjugators = [group.conjugator(g) for g in group.generators]
+    elems = {group.identity}
+    steps: list[Callable[[Mat], Mat]] = []
+    gens: list[Mat] = []
+    for c in candidates:  # grows while it is read
+        if c in elems:
+            continue
+        gens.append(c)
+        _extend(elems, steps, group.right(c))
+        if len(elems) == group.order:
+            return group
+        candidates.extend(conj(c) for conj in conjugators)
     return FiniteMatrixGroup(group.n, group.modulus, elems, gens, group.normalize)
 
 
@@ -372,23 +519,12 @@ class KernelReport:
 def _kernel_shape_members(n: int, p: int) -> set[Mat]:
     """All I + pA mod p^2 with tr A = 0 mod p."""
     m = p * p
-    cells = n * n
-    out: set[Mat] = set()
-
-    def rec(pos: int, acc: list[int], diag_sum: int) -> None:
-        if pos == cells:
-            if diag_sum % p == 0:
-                ident = mat_identity(n)
-                out.add(bytes((ident[i] + p * acc[i]) % m for i in range(cells)))
-            return
-        on_diag = pos % (n + 1) == 0
-        for val in range(p):
-            acc.append(val)
-            rec(pos + 1, acc, diag_sum + (val if on_diag else 0))
-            acc.pop()
-
-    rec(0, [], 0)
-    return out
+    ident = mat_identity(n, m)
+    return {
+        ident + p * encode(a, m)
+        for a in product(range(p), repeat=n * n)
+        if sum(a[:: n + 1]) % p == 0
+    }
 
 
 def kernel_of_reduction(
@@ -398,35 +534,38 @@ def kernel_of_reduction(
 
     Writing each kernel element as I + pA, the map I + pA -> A mod p is an
     isomorphism onto the additive group of trace-zero matrices over Z/p;
-    ``verify_pairs`` checks the homomorphism identity over every pair.
+    ``verify_pairs`` checks the homomorphism identity over every pair.  The
+    entries of I + pA are those of I plus p times those of A, without carries,
+    so the code of A (entries below p, read mod p^2) is (code - code of I)/p.
     """
     m = p * p
     group = sl_group(n, m)
-    ident_small = mat_identity(n)
-    kernel_elems = [e for e in group.elements if project_mod(e, p) == ident_small]
-    image = {project_mod(e, p) for e in group.elements}
+    reduce_p = _projection(n, m, p)
+    ident_small = mat_identity(n, p)
+    reduced = list(map(reduce_p, group.elements))
+    kernel_elems = [e for e, r in zip(group.elements, reduced) if r == ident_small]
+    image = set(reduced)
     sub = group.subgroup(kernel_elems)
 
     shape_ok = set(kernel_elems) == _kernel_shape_members(n, p)
 
-    def additive_part(e: Mat) -> tuple[int, ...]:
-        return tuple(((e[i] - ident_small[i]) // p) % p for i in range(n * n))
-
-    parts = {e: additive_part(e) for e in kernel_elems}
+    ident = group.identity
+    parts = {e: (e - ident) // p for e in kernel_elems}
     iso_ok = len(set(parts.values())) == len(kernel_elems)
     if iso_ok and verify_pairs:
-        for a in kernel_elems:
-            pa = parts[a]
-            for b in kernel_elems:
-                prod = mat_mul(a, b, n, m)
-                want = tuple((pa[i] + parts[b][i]) % p for i in range(n * n))
-                if parts[prod] != want:
-                    iso_ok = False
-                    break
-            if not iso_ok:
+        # Entries of A + B stay below 2p <= p^2, so reducing the sum of two
+        # codes mod p is A + B mod p; compare it with A of the product.
+        space = _space(n, m)
+        part_mod_p = {e: reduce_p(a) for e, a in parts.items()}
+        for b, pb in parts.items():
+            times_b = space.right(b)
+            if any(
+                part_mod_p[times_b(a)] != reduce_p(pa + pb) for a, pa in parts.items()
+            ):
+                iso_ok = False
                 break
 
-    order_p = all(mat_pow(e, p, n, m) == mat_identity(n) for e in kernel_elems)
+    order_p = all(mat_pow(e, p, n, m) == ident for e in kernel_elems)
     return KernelReport(
         n=n,
         p=p,
@@ -445,8 +584,9 @@ def closure_equals_reduction_kernel(n: int, p: int, power: int) -> bool:
     SL_n(Z/p^2) is exactly the kernel of reduction mod p."""
     m = p * p
     group = sl_group(n, m)
-    ident = mat_identity(n)
-    kernel = {e for e in group.elements if project_mod(e, p) == ident}
+    reduce_p = _projection(n, m, p)
+    ident = mat_identity(n, p)
+    kernel = {e for e in group.elements if reduce_p(e) == ident}
     for k in range(1, n + 1):
         for r in range(1, n + 1):
             if k == r:
@@ -469,26 +609,29 @@ def closure_spans_kernel_additively(n: int, p: int, seed_pos: tuple[int, int]) -
     m = p * p
     k, r = seed_pos
     seed = elementary_mat(k, r, p, n, m)
-    ident = mat_identity(n)
-    if project_mod(seed, p) != ident:
+    reduce_p = _projection(n, m, p)
+    ident_small = mat_identity(n, p)
+    if reduce_p(seed) != ident_small:
         raise ValueError("seed does not lie in the reduction kernel")
-    gens = sl_generators(n, m)
-    gen_invs = [mat_inv(g, n, m) for g in gens]
+    space = _space(n, m)
+    conjugators = [space.conjugator(g) for g in sl_generators(n, m)]
     seen = {seed}
     queue = [seed]
     while queue:
         x = queue.pop()
-        for g, gi in zip(gens, gen_invs):
-            y = mat_mul(mat_mul(g, x, n, m), gi, n, m)
+        for conj in conjugators:
+            y = conj(x)
             if y not in seen:
-                if project_mod(y, p) != ident:
+                if reduce_p(y) != ident_small:
                     raise AssertionError("conjugate left the kernel")
                 seen.add(y)
                 queue.append(y)
 
     # F_p Gaussian elimination on the additive parts.
+    ident = mat_identity(n, m)
+
     def additive(e: Mat) -> list[int]:
-        return [((e[i] - ident[i]) // p) % p for i in range(n * n)]
+        return list(decode((e - ident) // p, n, m))
 
     basis: list[list[int]] = []
     pivots: list[int] = []
@@ -579,9 +722,10 @@ def splitting_search(
 ) -> SectionSearchResult:
     """Does SL_n(Z/p^2) -> SL_n(Z/p) split over the given generating pair?
 
-    ``pair`` must generate SL_n(Z/p); this is certified by enumeration before
-    the lift search runs.  Every lift pair is counted; completeness rests on
-    the fact that a section restricts to one of these pairs.
+    ``pair`` holds codes mod p and must generate SL_n(Z/p); this is certified
+    by enumeration before the lift search runs.  Every lift pair is counted;
+    completeness rests on the fact that a section restricts to one of these
+    pairs.  The witness, if any, holds the row-major entries of the two lifts.
     """
     m = p * p
     a, b = pair
@@ -592,23 +736,29 @@ def splitting_search(
     order_b = small.element_order(b)
 
     report = kernel_of_reduction(n, p, verify_pairs=False)
-    kernel_elems = list(report.kernel.elements)
-    lift_a0 = bytes(x % m for x in a)  # entries already reduced mod p
-    lift_b0 = bytes(x % m for x in b)
-    fiber_a = [mat_mul(lift_a0, k, n, m) for k in kernel_elems]
-    fiber_b = [mat_mul(lift_b0, k, n, m) for k in kernel_elems]
-    ident = mat_identity(n)
+    kernel_elems = report.kernel.elements
+    space = _space(n, m)
+    # Same entries, read mod p^2; the fiber over a is lift(a) times the kernel.
+    lift_a0 = encode(decode(a, n, p), m)
+    lift_b0 = encode(decode(b, n, p), m)
+    fiber_a = [space.mul(lift_a0, k) for k in kernel_elems]
+    fiber_b = [space.mul(lift_b0, k) for k in kernel_elems]
+    reduce_p = _projection(n, m, p)
+    ident_small = mat_identity(n, p)
 
-    return section_search(
+    result = section_search(
         fiber_a,
         fiber_b,
-        op=lambda x, y: mat_mul(x, y, n, m),
-        identity=ident,
-        is_kernel_element=lambda x: project_mod(x, p) == mat_identity(n),
+        op=space.mul,
+        identity=mat_identity(n, m),
+        is_kernel_element=lambda x: reduce_p(x) == ident_small,
         order_a=order_a,
         order_b=order_b,
         target_order=small.order,
     )
+    if result.witness is None:
+        return result
+    return replace(result, witness=tuple(decode(w, n, m) for w in result.witness))
 
 
 def product_section_fixture(n: int = 3, p: int = 2) -> SectionSearchResult:
@@ -617,26 +767,29 @@ def product_section_fixture(n: int = 3, p: int = 2) -> SectionSearchResult:
     pair = find_generating_pair(sl_group(n, p))
     a, b = pair
     small = enumerate_group(n, p, [a, b])
-    ident = (mat_identity(n), 0)
+    ident = (mat_identity(n, p), 0)
+    space = _space(n, p)
 
     def op(x, y):
-        return (mat_mul(x[0], y[0], n, p), (x[1] + y[1]) % 2)
+        return (space.mul(x[0], y[0]), (x[1] + y[1]) % 2)
 
     return section_search(
         fiber_a=[(a, 0), (a, 1)],
         fiber_b=[(b, 0), (b, 1)],
         op=op,
         identity=ident,
-        is_kernel_element=lambda x: x[0] == mat_identity(n),
+        is_kernel_element=lambda x: x[0] == ident[0],
         order_a=small.element_order(a),
         order_b=small.element_order(b),
         target_order=small.order,
     )
 
 
-def load_generating_pair(path: Optional[str] = None) -> tuple[Mat, Mat]:
+def load_generating_pair(
+    path: Optional[str] = None, modulus: int = 2
+) -> tuple[Mat, Mat]:
     """Read the cached 2-element generating set (plain-text row-major rows,
-    matrices separated by a blank line)."""
+    matrices separated by a blank line) as codes mod ``modulus``."""
     if path is None:
         from importlib import resources
 
@@ -657,13 +810,12 @@ def load_generating_pair(path: Optional[str] = None) -> tuple[Mat, Mat]:
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("fixture matrix is not square")
-        mats.append(bytes(v for row in rows for v in row))
+        mats.append(encode((v for row in rows for v in row), modulus))
     return (mats[0], mats[1])
 
 
 def find_generating_pair(group: FiniteMatrixGroup) -> tuple[Mat, Mat]:
     """Bounded search for a 2-element generating set (first hit wins)."""
-    n, m = group.n, group.modulus
     for a in group.elements:
         if a == group.identity:
             continue
@@ -671,7 +823,7 @@ def find_generating_pair(group: FiniteMatrixGroup) -> tuple[Mat, Mat]:
             if b == group.identity or b == a:
                 continue
             try:
-                sub = _closure([a, b], group.op, group.identity, cap=group.order)
+                sub = _closure([a, b], group.right, group.identity, cap=group.order)
             except EnumerationCapError:
                 continue
             if len(sub) == group.order:
@@ -709,11 +861,12 @@ def _f2_mul_rows(x: Sequence[int], y: Sequence[int], n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _trace_bit(mask: int, n: int) -> int:
-    t = 0
-    for i in range(n):
-        t ^= (mask >> (i * n + i)) & 1
-    return t
+def _xor_table(images: Sequence[int]) -> list[int]:
+    """table[v] = XOR of images[b] over the set bits b of v."""
+    table = [0]
+    for img in images:
+        table += [t ^ img for t in table]
+    return table
 
 
 @dataclass(frozen=True)
@@ -733,50 +886,63 @@ def invariant_subreps(n: int) -> SubrepScan:
 
     Each such span is the smallest invariant subspace containing its seed, so
     the set of spans determines all invariant subspaces: any invariant W is a
-    union of spans of its members.
+    union of spans of its members.  A matrix is a bitmask (entry (i, j) at
+    bit i*n + j); conjugation is GF(2)-linear, so each generator acts through
+    two tables, one for the low byte of the mask and one for the rest.
     """
     if n not in (3, 4):
         raise ValueError("scan is sized for n in {3, 4}")
-    gens_rows = [
-        _bits_to_rows(_mask_of_elementary(i, j, n), n)
-        for i in range(n)
-        for j in range(n)
-        if i != j
-    ]
-    # Elementary matrices are involutions over GF(2): g^-1 = g.
     cells = n * n
+    conjugations = []
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            # Elementary matrices are involutions over GF(2): g^-1 = g.
+            g = _bits_to_rows(_mask_of_elementary(i, j, n), n)
+            images = [
+                _rows_to_bits(
+                    _f2_mul_rows(_f2_mul_rows(g, _bits_to_rows(1 << bit, n), n), g, n), n
+                )
+                for bit in range(cells)
+            ]
+            conjugations.append((_xor_table(images[:8]), _xor_table(images[8:])))
     identity_mask = sum(1 << (i * n + i) for i in range(n))
+    full_dim = cells - 1
 
-    def conj(mask: int, g_rows: tuple[int, ...]) -> int:
-        a_rows = _bits_to_rows(mask, n)
-        return _rows_to_bits(
-            _f2_mul_rows(_f2_mul_rows(g_rows, a_rows, n), g_rows, n), n
-        )
-
-    seen: set[int] = set()
+    seen = bytearray(1 << cells)
     spans: dict[tuple[int, ...], int] = {}  # echelon signature -> dim
     scalar_span_found = False
     for v in range(1, 1 << cells):
-        if _trace_bit(v, n) != 0 or v in seen:
+        if seen[v] or (v & identity_mask).bit_count() % 2:
             continue
         orbit = {v}
-        queue = [v]
-        while queue:
-            x = queue.pop()
-            for g in gens_rows:
-                y = conj(x, g)
-                if y not in orbit:
-                    orbit.add(y)
-                    queue.append(y)
-        seen |= orbit
-        basis: list[int] = []
-        for w in sorted(orbit):
-            for b in basis:
-                if w.bit_length() == b.bit_length():
-                    w ^= b
-            if w:
-                basis.append(w)
-                basis.sort(key=int.bit_length, reverse=True)
+        frontier = [v]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                low, high = x & 0xFF, x >> 8
+                for low_table, high_table in conjugations:
+                    y = low_table[low] ^ high_table[high]
+                    if y not in orbit:
+                        orbit.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        for x in orbit:
+            seen[x] = 1
+        # Echelon basis keyed by leading bit; every vector is trace-zero, so
+        # a basis of full_dim vectors already spans the whole space.
+        by_top: dict[int, int] = {}
+        for w in orbit:
+            while w:
+                b = by_top.get(w.bit_length())
+                if b is None:
+                    by_top[w.bit_length()] = w
+                    break
+                w ^= b
+            if len(by_top) == full_dim:
+                break
+        basis = [by_top[top] for top in sorted(by_top, reverse=True)]
         # Clear pivot bits from the other rows so the signature is canonical
         # for the subspace, not for the particular orbit that produced it.
         for i in range(len(basis)):
@@ -790,7 +956,6 @@ def invariant_subreps(n: int) -> SubrepScan:
             scalar_span_found = True
 
     dims = tuple(sorted(set(spans.values())))
-    full_dim = cells - 1
     labels = ["0"]
     if scalar_span_found:
         labels.append("scalars")

@@ -471,7 +471,7 @@ class Evaluator:
             )
         if fn == "splitting":
             n, p = (int(a) for a in stmt.args)
-            pair = modgroups.load_generating_pair()
+            pair = modgroups.load_generating_pair(modulus=p)
             result = modgroups.splitting_search(pair, n, p)
             got = "found" if result.found else "none"
             detail = (

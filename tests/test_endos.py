@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -192,13 +193,69 @@ class TestNielsen:
 
 
 def _generates_whole_group(words, rank):
-    """Independent basis oracle by graph folding.
+    """Independent basis oracle by Stallings folding.
 
     Wedge a loop per word onto a base vertex, fold until the labeled graph is
     deterministic, and test whether every generator reads as a loop at the
     base.  For an n-word tuple in rank n, generating the whole group is the
-    same as being a basis.
+    same as being a basis.  Vertices merge by union-find, and a merge that
+    meets two edges with one label queues their targets for merging.
     """
+    counter = [0]
+
+    def fresh():
+        counter[0] += 1
+        return counter[0]
+
+    out = {}  # vertex -> {letter: target}, targets possibly merged since
+    pending = []
+
+    def add_edge(u, a, v):
+        for x, b, y in ((u, a, v), (v, -a, u)):
+            edges = out.setdefault(x, {})
+            if b in edges:
+                pending.append((edges[b], y))
+            else:
+                edges[b] = y
+
+    base = 0
+    for w in words:
+        cur = base
+        for idx, a in enumerate(w.letters):
+            tgt = base if idx == len(w.letters) - 1 else fresh()
+            add_edge(cur, a, tgt)
+            cur = tgt
+
+    parent: dict[int, int] = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            parent[x] = parent.get(parent[x], parent[x])
+            x = parent[x]
+        return x
+
+    while pending:
+        x, y = (find(v) for v in pending.pop())
+        if x == y:
+            continue
+        if len(out.get(x, ())) < len(out.get(y, ())):
+            x, y = y, x
+        parent[y] = x
+        edges = out.setdefault(x, {})
+        for b, t in out.pop(y, {}).items():
+            if b in edges:
+                pending.append((edges[b], t))
+            else:
+                edges[b] = t
+    b = find(base)
+    loops = out.get(b, {})
+    return all(a in loops and find(loops[a]) == b for a in range(1, rank + 1))
+
+
+def _generates_whole_group_by_rescan(words, rank):
+    """The same oracle folding one pair of edges per rescan of the graph:
+    slow, but simple enough to check :func:`_generates_whole_group` on short
+    tuples."""
     counter = [0]
 
     def fresh():
@@ -248,6 +305,38 @@ def _generates_whole_group(words, rank):
     return all(final.get((b, a)) == {b} for a in range(1, rank + 1))
 
 
+def test_folding_oracles_agree_on_short_tuples():
+    """Random short tuples, and short products of named maps (bases) with
+    one image perhaps multiplied by another letter."""
+    from autfn.words import reduce as reduce_word
+
+    rng = random.Random(5)
+    verdicts = set()
+    for _ in range(1500):
+        rank = rng.randint(2, 4)
+        letters = [i for i in range(-rank, rank + 1) if i]
+        if rng.random() < 0.5:
+            words = [
+                reduce_word([rng.choice(letters) for _ in range(rng.randint(0, 7))], rank)
+                for _ in range(rank)
+            ]
+        else:
+            f = Endomorphism.identity(rank)
+            for _ in range(rng.randint(1, 6)):
+                i, j = rng.sample(range(1, rank + 1), 2)
+                kind = rng.choice("LRCPI")
+                g = named("I", i, rank=rank) if kind == "I" else named(kind, i, j, rank=rank)
+                f = compose(f, g)
+            words = list(f.images)
+            if rng.random() < 0.5:
+                k = rng.randrange(rank)
+                words[k] = reduce_word(list(words[k].letters) + [rng.choice(letters)], rank)
+        verdict = _generates_whole_group(words, rank)
+        assert verdict == _generates_whole_group_by_rescan(words, rank)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 class TestIsBasis:
     def test_permutation(self):
         assert is_basis([W("x2", 2), W("x1", 2)])
@@ -294,7 +383,7 @@ class TestIsBasis:
 
     def test_half_cancelling_stall_is_resolved(self):
         # A generator product on which pure length descent stalls; the
-        # lexicographic tie-break must still drive it to single letters.
+        # well-order tie-break must still drive it to single letters.
         tup = [
             W("x1 x3 x1^-1", 4), W("x2 x1 x2", 4), W("x2 x4", 4),
             W("x2 x1 x2^2 x1 x2^-1 x1^-1 x4", 4),
@@ -339,6 +428,120 @@ class TestChangeBasis:
     def test_rejects_non_basis(self):
         with pytest.raises(NotABasisError):
             change_basis(G4, [W("x1", 4), W("x1", 4), W("x3", 4), W("x4", 4)])
+
+
+def _named_product(text, rank):
+    """The automorphism written as a product of named maps, e.g. "L(1,2) * I(3)"."""
+    f = Endomorphism.identity(rank)
+    for kind, args in re.findall(r"([LRCPI])\(([\d,\s]+)\)", text):
+        f = compose(f, named(kind, *map(int, args.split(",")), rank=rank))
+    return f
+
+
+# Bases on which greedy Nielsen descent with a whole-word tie-break stalls
+# short of a signed permutation, so inversion used to raise NotABasisError.
+STALLED_PRODUCTS = [
+    pytest.param(
+        6, "L(5,6) * C(6,2) * C(5,4) * P(6,4) * C(5,4) * R(4,3) * C(6,5) * "
+        "R(4,1) * I(5) * R(3,5) * C(1,3) * P(2,3) * I(1) * P(2,1) * R(5,6) * "
+        "L(3,5) * R(2,6) * C(6,1) * I(5) * R(1,5)",
+        id="rank6-chain",
+    ),
+    pytest.param(
+        4, "C(4,1) * P(1,4) * L(2,1) * C(4,2) * P(2,1) * R(2,4) * P(3,4) * "
+        "C(4,1) * R(3,4) * C(3,2) * P(2,3) * L(1,2) * R(3,2) * P(2,3) * "
+        "L(3,2) * I(1) * C(1,3)",
+        id="rank4-chain",
+    ),
+    pytest.param(
+        6, "I(6) * C(3,4) * P(6,2) * C(5,4) * L(2,4) * C(2,4) * L(5,3) * "
+        "P(2,5) * R(3,1) * C(4,2) * R(4,1) * R(1,5) * L(1,5) * P(6,4) * "
+        "L(2,1) * R(5,3) * C(1,5) * C(4,6) * R(6,1) * R(4,3) * P(3,6) * "
+        "C(2,6) * C(4,6) * R(4,3) * I(3) * C(4,5) * C(5,3) * L(3,4) * R(1,3) * "
+        "R(3,4) * C(5,1) * C(6,1)",
+        id="rank6-seed55-g-times-h",
+    ),
+    pytest.param(
+        4, "I(3) * C(3,1) * C(3,1) * R(1,4) * L(4,1) * R(2,1) * L(4,2) * "
+        "R(3,1) * I(3) * C(1,2) * R(3,2) * P(1,2) * C(2,1) * P(2,1) * C(3,1) * "
+        "R(2,3) * C(1,3) * P(3,4) * P(1,3) * C(2,3) * I(3) * C(2,1) * C(1,2) * "
+        "P(2,4) * C(3,1) * C(3,1) * C(3,4) * L(3,4)",
+        id="rank4-seed82-g-times-h",
+    ),
+    pytest.param(
+        4, "C(2,4) * I(2) * C(3,2) * R(4,3) * L(1,2) * P(1,2) * R(4,3) * "
+        "R(4,3) * C(4,1) * R(1,2) * I(2) * R(1,4) * L(3,1) * R(3,4) * "
+        "L(4,3) * L(3,2)",
+        id="rank4-seed181-g",
+    ),
+]
+
+# Commutators [a, f] at rank 3, with a a product of two named maps and f the
+# order-3 map x1 -> x2, x2 -> (x1 x2)^-1.
+STALLED_COMMUTATORS = [
+    pytest.param(
+        ("x3^-1 x1^2 x3^2 x2^-1 x3^-2 x1^-1 x3 x2",
+         "x2^-1 x3^-1 x1 x3^2 x2 x3^-2 x1^-1 x3 x2",
+         "x2^-1 x3^-1 x1 x3^2"),
+        id="commutator-1",
+    ),
+    pytest.param(
+        ("x3 x1^2 x3^-2 x2^-1 x3^2 x1^-1 x3^-1 x2",
+         "x2^-1 x3 x1 x3^-2 x2 x3^2 x1^-1 x3^-1 x2",
+         "x3^2 x1^-1 x3^-1 x2"),
+        id="commutator-2",
+    ),
+]
+
+
+def _assert_inverts(f):
+    assert is_basis(f.images)
+    assert _generates_whole_group(f.images, f.rank)
+    reduced, log = nielsen_reduce(f.images)
+    assert sorted(abs(w.letters[0]) for w in reduced) == list(range(1, f.rank + 1))
+    assert apply_nielsen_log(f.images, log) == reduced
+    fi = invert_automorphism(f)
+    assert compose(fi, f).is_identity()
+    assert compose(f, fi).is_identity()
+
+
+@pytest.mark.parametrize("rank, text", STALLED_PRODUCTS)
+def test_stalled_products_invert(rank, text):
+    _assert_inverts(_named_product(text, rank))
+
+
+@pytest.mark.parametrize("images", STALLED_COMMUTATORS)
+def test_stalled_commutators_invert(images):
+    _assert_inverts(endo(3, *images))
+
+
+@st.composite
+def _named_products(draw):
+    rank = draw(st.integers(3, 5))
+    index = st.integers(1, rank)
+    f = Endomorphism.identity(rank)
+    for _ in range(draw(st.integers(10, 40))):
+        kind = draw(st.sampled_from("LRCPI"))
+        i = draw(index)
+        if kind == "I":
+            f = compose(f, named("I", i, rank=rank))
+        else:
+            j = draw(index.filter(lambda j: j != i))
+            f = compose(f, named(kind, i, j, rank=rank))
+    return f
+
+
+@given(_named_products(), st.integers(0, 4))
+@settings(deadline=None, max_examples=80)
+def test_basis_test_agrees_with_folding_oracle_on_named_products(f, k):
+    """Nielsen reduction certifies every product of named maps, and agrees
+    with the folding oracle once one image is squared (not a basis)."""
+    assert is_basis(f.images)
+    assert _generates_whole_group(f.images, f.rank)
+    images = list(f.images)
+    k %= f.rank
+    images[k] = images[k] * images[k]
+    assert is_basis(images) == _generates_whole_group(images, f.rank)
 
 
 _named_strategy = st.sampled_from(

@@ -1,11 +1,11 @@
-import os
+import random
 
 import pytest
 
 from autfn.modgroups import (
-    EnumerationCapError, center, closure_equals_reduction_kernel,
-    closure_spans_kernel_additively, conjugacy_classes, elementary_mat,
-    enumerate_group, find_generating_pair, invariant_subreps, is_simple,
+    _CHUNK, EnumerationCapError, _extend, _space, center, closure_equals_reduction_kernel,
+    closure_spans_kernel_additively, conjugacy_classes, decode, elementary_mat,
+    encode, enumerate_group, find_generating_pair, invariant_subreps, is_simple,
     kernel_of_reduction, load_generating_pair, mat_identity, mat_inv, mat_mul,
     mat_pow, normal_closure, product_section_fixture, project_mod, psl_group,
     quotient_by_center, sl_generators, sl_group, split_obstruction,
@@ -25,11 +25,53 @@ class TestArithmetic:
     def test_mul_inv(self):
         g = elementary_mat(1, 2, 3, 3, 4)
         gi = mat_inv(g, 3, 4)
-        assert mat_mul(g, gi, 3, 4) == mat_identity(3)
+        assert mat_mul(g, gi, 3, 4) == mat_identity(3, 4)
 
     def test_pow(self):
         e = elementary_mat(2, 1, 1, 3, 5)
-        assert mat_pow(e, 5, 3, 5) == mat_identity(3)
+        assert mat_pow(e, 5, 3, 5) == mat_identity(3, 5)
+
+
+def _naive_product(a, b, n, m):
+    """Test oracle: schoolbook product of decoded entries."""
+    x, y = decode(a, n, m), decode(b, n, m)
+    return encode(
+        [sum(x[i * n + k] * y[k * n + j] for k in range(n))
+         for i in range(n) for j in range(n)],
+        m,
+    )
+
+
+class TestCodes:
+    def test_code_order_is_entry_order(self):
+        g = sl_group(3, 2)
+        entries = [decode(e, 3, 2) for e in g.elements]
+        assert entries == sorted(entries)
+        assert [encode(e, 2) for e in entries] == list(g.elements)
+
+    def test_encode_reduces_entries(self):
+        assert encode([5, -1, 0, 9], 4) == encode([1, 3, 0, 1], 4)
+        assert decode(encode([1, 3, 0, 1], 4), 2, 4) == bytes([1, 3, 0, 1])
+
+    @pytest.mark.parametrize("n, m", [(1, 5), (2, 3), (3, 4), (4, 3)])
+    def test_row_maps_agree_with_schoolbook_products(self, n, m):
+        rng = random.Random(100 * n + m)
+        space = _space(n, m)
+        gens = sl_generators(n, m) or [mat_identity(n, m)]
+        for _ in range(10):
+            a = rng.randrange(m ** (n * n))
+            b = rng.randrange(m ** (n * n))
+            g = mat_identity(n, m)
+            for _ in range(5):
+                g = mat_mul(g, rng.choice(gens), n, m)
+            assert mat_mul(a, b, n, m) == _naive_product(a, b, n, m)
+            assert space.right(b)(a) == _naive_product(a, b, n, m)
+            conj = _naive_product(_naive_product(g, a, n, m), mat_inv(g, n, m), n, m)
+            assert space.conjugator(g)(a) == conj
+            if m == 4:
+                assert decode(project_mod(a, n, m, 2), n, 2) == bytes(
+                    x % 2 for x in decode(a, n, m)
+                )
 
 
 class TestEnumeration:
@@ -46,12 +88,26 @@ class TestEnumeration:
         assert sl_group(2, 3).order == sl_order_formula(2, 3) == 24
 
     def test_trivial_generators(self):
-        g = enumerate_group(2, 3, [mat_identity(2)])
+        g = enumerate_group(2, 3, [mat_identity(2, 3)])
         assert g.order == 1
 
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
             enumerate_group(3, 4, sl_generators(3, 4), cap=1000)
+
+    def test_cap_stops_a_large_layer_early(self):
+        # One breadth-first layer of 100000 new elements against a cap that
+        # allows 500 more: the error comes within one chunk of images.
+        elems = set(range(100_000))  # closed under an empty set of steps
+        made = []
+
+        def step(x):
+            made.append(x)
+            return x + 100_000
+
+        with pytest.raises(EnumerationCapError):
+            _extend(elems, [], step, cap=100_500)
+        assert len(made) <= 500 + _CHUNK
 
     def test_deterministic_ordering(self):
         a = enumerate_group(2, 3, sl_generators(2, 3))
@@ -69,7 +125,7 @@ class TestCenter:
 
     def test_abelian_group_is_its_own_center(self):
         # Cyclic order 4 inside SL_2(Z/5): rotation by i.
-        rot = bytes([0, 4, 1, 0])
+        rot = encode([0, 4, 1, 0], 5)
         g = enumerate_group(2, 5, [rot])
         assert g.order == 4
         assert len(center(g)) == 4
@@ -113,7 +169,7 @@ class TestKernelReport:
     def test_every_kernel_element_squares_to_identity(self):
         rep = kernel_of_reduction(3, 2, verify_pairs=False)
         for e in rep.kernel.elements:
-            assert mat_mul(e, e, 3, 4) == mat_identity(3)
+            assert mat_mul(e, e, 3, 4) == mat_identity(3, 4)
 
 
 class TestSimplicity:
@@ -131,7 +187,7 @@ class TestSimplicity:
         assert not is_simple(g)
 
     def test_cyclic_four_is_not_simple(self):
-        rot = bytes([0, 4, 1, 0])
+        rot = encode([0, 4, 1, 0], 5)
         g = enumerate_group(2, 5, [rot])
         assert g.order == 4
         assert not is_simple(g)
@@ -151,6 +207,12 @@ class TestSplitting:
     def test_fixture_pair_generates(self):
         a, b = load_generating_pair()
         assert enumerate_group(3, 2, [a, b]).order == 168
+
+    def test_fixture_pair_reads_mod_p(self):
+        # The fixture's 0/1 entries are the same entries under any modulus.
+        for p in (3, 5):
+            for a2, ap in zip(load_generating_pair(), load_generating_pair(modulus=p)):
+                assert decode(ap, 3, p) == decode(a2, 3, 2)
 
     def test_find_generating_pair(self):
         pair = find_generating_pair(sl_group(2, 3))
@@ -173,18 +235,18 @@ class TestSplitting:
         wa, wb = result.witness
         # Fully enumerate the generated subgroup and check it maps
         # bijectively onto the 168-element quotient.
-        sub = enumerate_group(3, 4, [wa, wb])
+        sub = enumerate_group(3, 4, [encode(wa, 4), encode(wb, 4)])
         assert sub.order == 168
-        projections = {project_mod(e, 2) for e in sub.elements}
+        projections = {project_mod(e, 3, 4, 2) for e in sub.elements}
         assert len(projections) == 168
-        ident = mat_identity(3)
         meets_kernel = [e for e in sub.elements
-                        if project_mod(e, 2) == ident and e != ident]
+                        if project_mod(e, 3, 4, 2) == mat_identity(3, 2)
+                        and e != mat_identity(3, 4)]
         assert meets_kernel == []
 
     def test_rejects_non_generating_pair(self):
         with pytest.raises(ValueError):
-            splitting_search((mat_identity(3), elementary_mat(1, 2, 1, 3, 2)))
+            splitting_search((mat_identity(3, 2), elementary_mat(1, 2, 1, 3, 2)))
 
 
 class TestSubreps:
@@ -234,10 +296,6 @@ class TestObstruction:
         assert violations == 1
 
 
-@pytest.mark.skipif(
-    not os.environ.get("AUTFN_LARGE"),
-    reason="larger mod-9 closure check; set AUTFN_LARGE=1 to run",
-)
 def test_mod9_closure_spans_kernel():
     for k in range(1, 4):
         for r in range(1, 4):

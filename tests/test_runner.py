@@ -1,9 +1,15 @@
 import json
+from pathlib import Path
 
 from autfn.runner import (
     bundled_anchor_list, bundled_corpus_dir, lint_scenarios, replay_all,
     run_text,
 )
+
+
+def _golden(name):
+    """Records of a bundled-corpus replay as checked in under tests/data."""
+    return json.loads((Path(__file__).parent / "data" / name).read_text())
 
 
 class TestRunOutcomes:
@@ -70,9 +76,17 @@ class TestReplayAll:
         assert report.ok(), report.human()
 
     def test_deterministic(self):
-        a = replay_all()
-        b = replay_all()
-        assert [r.to_dict() for r in a.records] == [r.to_dict() for r in b.records]
+        """A replay matches the report checked in under tests/data, byte for
+        byte once serialized, so engine changes cannot move any verdict."""
+        report = replay_all()
+        assert [r.to_dict() for r in report.records] == _golden("replay_golden.json")
+
+    def test_large_checks_match_golden(self):
+        text = (bundled_corpus_dir() / "finite-groups-large.scn").read_text()
+        report = run_text(text, "finite-groups-large", include_large=True)
+        assert [r.to_dict() for r in report.records] == _golden(
+            "replay_golden_large.json"
+        )
 
     def test_empty_directory(self, tmp_path):
         report = replay_all(tmp_path)
