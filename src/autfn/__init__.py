@@ -19,7 +19,6 @@ from .endos import (
 )
 from .matrices import (
     IntMatrix,
-    ResidueMatrix,
     abelianize,
     congruence_level_member,
     det,

@@ -61,48 +61,6 @@ class IntMatrix:
         return "; ".join(" ".join(str(a) for a in row) for row in self.rows)
 
 
-@dataclass(frozen=True, slots=True)
-class ResidueMatrix:
-    n: int
-    modulus: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.modulus < 2:
-            raise ValueError("modulus must be at least 2")
-        if len(self.rows) != self.n or any(len(r) != self.n for r in self.rows):
-            raise ValueError(f"expected {self.n}x{self.n} entries")
-        for row in self.rows:
-            for a in row:
-                if not 0 <= a < self.modulus:
-                    raise ValueError(f"entry {a} not reduced mod {self.modulus}")
-
-    @staticmethod
-    def identity(n: int, modulus: int) -> "ResidueMatrix":
-        return ResidueMatrix(
-            n,
-            modulus,
-            tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)),
-        )
-
-    def __mul__(self, other: "ResidueMatrix") -> "ResidueMatrix":
-        if self.n != other.n or self.modulus != other.modulus:
-            raise ValueError("dimension or modulus mismatch")
-        n, m = self.n, self.modulus
-        cols = list(zip(*other.rows))
-        return ResidueMatrix(
-            n,
-            m,
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) % m for col in cols)
-                for row in self.rows
-            ),
-        )
-
-    def __str__(self) -> str:
-        return "; ".join(" ".join(str(a) for a in row) for row in self.rows)
-
-
 def abelianize(f: Endomorphism) -> IntMatrix:
     """Exponent-sum matrix of f; functorial for composition."""
     n = f.rank
@@ -133,13 +91,12 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def mod_reduce(m: IntMatrix, modulus: int) -> ResidueMatrix:
-    """Entrywise reduction; commutes with matrix multiplication."""
+def mod_reduce(m: IntMatrix, modulus: int) -> IntMatrix:
+    """Entrywise least residues; reducing a product of reductions again gives
+    the reduction of the product."""
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
-    return ResidueMatrix(
-        m.n, modulus, tuple(tuple(a % modulus for a in row) for row in m.rows)
-    )
+    return IntMatrix(m.n, tuple(tuple(a % modulus for a in row) for row in m.rows))
 
 
 def congruence_level_member(m: IntMatrix, level: int) -> bool:
@@ -149,7 +106,7 @@ def congruence_level_member(m: IntMatrix, level: int) -> bool:
     determinant-one congruence subgroup apart from its determinant +-1
     variant.
     """
-    return mod_reduce(m, level) == ResidueMatrix.identity(m.n, level)
+    return mod_reduce(m, level) == mod_reduce(IntMatrix.identity(m.n), level)
 
 
 def elementary(k: int, r: int, power: int, n: int) -> IntMatrix:

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
-from itertools import islice, product
+from functools import cached_property, lru_cache, reduce
+from itertools import islice, product, repeat
 from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -264,9 +264,6 @@ class FiniteMatrixGroup:
 
     def op(self, a: Mat, b: Mat) -> Mat:
         return self._norm(mat_mul(a, b, self.n, self.modulus))
-
-    def inv(self, a: Mat) -> Mat:
-        return self._norm(mat_inv(a, self.n, self.modulus))
 
     def right(self, b: Mat) -> Callable[[Mat], Mat]:
         """Row map of x -> x * b."""
@@ -660,57 +657,40 @@ class SectionSearchResult:
 
 
 def section_search(
-    fiber_a: Sequence,
-    fiber_b: Sequence,
-    op: Callable,
-    identity,
-    is_kernel_element: Callable,
+    fiber_a: Sequence[Mat],
+    fiber_b: Sequence[Mat],
+    n: int,
+    m: int,
     order_a: int,
     order_b: int,
     target_order: int,
 ) -> SectionSearchResult:
     """Exhaustive search for a section through lifts of two generators.
 
-    Any section sends the generators to lifts of the same element orders, so
-    lifts failing the order test are excluded soundly; surviving pairs are
-    expanded breadth-first and rejected as soon as the generated subgroup
-    grows past the target order or swallows a nontrivial kernel element.
+    The fibers hold n x n codes mod m over two elements that generate the
+    target group, so every lift pair generates a group mapping onto the
+    target.  Its order equals the target's exactly when it meets the kernel
+    trivially, that is when the pair spans a section; a closure capped at the
+    target order decides this.  Any section sends the generators to lifts of
+    the same element orders, so lifts failing the order test are excluded
+    soundly before any closure is built.
     """
-
-    def power(x, k: int):
-        out = identity
-        for _ in range(k):
-            out = op(out, x)
-        return out
-
-    good_a = [x for x in fiber_a if power(x, order_a) == identity]
-    good_b = [x for x in fiber_b if power(x, order_b) == identity]
+    space = _space(n, m)
+    ident = mat_identity(n, m)
+    good_a, good_b = (
+        [x for x in fiber if reduce(space.mul, repeat(x, k), ident) == ident]
+        for fiber, k in ((fiber_a, order_a), (fiber_b, order_b))
+    )
     pairs_tried = len(fiber_a) * len(fiber_b)
     pairs_expanded = 0
     for a in good_a:
         for b in good_b:
             pairs_expanded += 1
-            seen = {identity}
-            frontier = [identity]
-            ok = True
-            while frontier and ok:
-                nxt = []
-                for x in frontier:
-                    for g in (a, b):
-                        y = op(x, g)
-                        if y not in seen:
-                            if len(seen) >= target_order:
-                                ok = False
-                                break
-                            if y != identity and is_kernel_element(y):
-                                ok = False
-                                break
-                            seen.add(y)
-                            nxt.append(y)
-                    if not ok:
-                        break
-                frontier = nxt
-            if ok and len(seen) == target_order:
+            try:
+                sub = _closure([a, b], space.right, ident, cap=target_order)
+            except EnumerationCapError:
+                continue
+            if len(sub) == target_order:
                 return SectionSearchResult(
                     True, pairs_tried, pairs_expanded, target_order, (a, b)
                 )
@@ -732,8 +712,6 @@ def splitting_search(
     small = enumerate_group(n, p, [a, b])
     if small.order != sl_group(n, p).order:
         raise ValueError("pair does not generate the target group")
-    order_a = small.element_order(a)
-    order_b = small.element_order(b)
 
     report = kernel_of_reduction(n, p, verify_pairs=False)
     kernel_elems = report.kernel.elements
@@ -741,19 +719,13 @@ def splitting_search(
     # Same entries, read mod p^2; the fiber over a is lift(a) times the kernel.
     lift_a0 = encode(decode(a, n, p), m)
     lift_b0 = encode(decode(b, n, p), m)
-    fiber_a = [space.mul(lift_a0, k) for k in kernel_elems]
-    fiber_b = [space.mul(lift_b0, k) for k in kernel_elems]
-    reduce_p = _projection(n, m, p)
-    ident_small = mat_identity(n, p)
-
     result = section_search(
-        fiber_a,
-        fiber_b,
-        op=space.mul,
-        identity=mat_identity(n, m),
-        is_kernel_element=lambda x: reduce_p(x) == ident_small,
-        order_a=order_a,
-        order_b=order_b,
+        [space.mul(lift_a0, k) for k in kernel_elems],
+        [space.mul(lift_b0, k) for k in kernel_elems],
+        n,
+        m,
+        order_a=small.element_order(a),
+        order_b=small.element_order(b),
         target_order=small.order,
     )
     if result.witness is None:
@@ -763,22 +735,23 @@ def splitting_search(
 
 def product_section_fixture(n: int = 3, p: int = 2) -> SectionSearchResult:
     """Sanity fixture: the projection of SL_n(Z/p) x Z/2 onto its first
-    factor has an obvious section, and the search must find one."""
-    pair = find_generating_pair(sl_group(n, p))
-    a, b = pair
+    factor has an obvious section, and the search must find one.  The product
+    is the block-diagonal group of diag(A, S) in GL_{n+2}(Z/p), S a power of
+    the 2 x 2 swap."""
+    a, b = find_generating_pair(sl_group(n, p))
     small = enumerate_group(n, p, [a, b])
-    ident = (mat_identity(n, p), 0)
-    space = _space(n, p)
 
-    def op(x, y):
-        return (space.mul(x[0], y[0]), (x[1] + y[1]) % 2)
+    def diag(x: Mat, s: bytes) -> Mat:
+        e = decode(x, n, p)
+        rows = b"".join(e[i * n : i * n + n] + bytes(2) for i in range(n))
+        return encode(rows + bytes(n) + s[:2] + bytes(n) + s[2:], p)
 
+    keep, swap = bytes([1, 0, 0, 1]), bytes([0, 1, 1, 0])
     return section_search(
-        fiber_a=[(a, 0), (a, 1)],
-        fiber_b=[(b, 0), (b, 1)],
-        op=op,
-        identity=ident,
-        is_kernel_element=lambda x: x[0] == ident[0],
+        [diag(a, keep), diag(a, swap)],
+        [diag(b, keep), diag(b, swap)],
+        n + 2,
+        p,
         order_a=small.element_order(a),
         order_b=small.element_order(b),
         target_order=small.order,
@@ -834,33 +807,6 @@ def find_generating_pair(group: FiniteMatrixGroup) -> tuple[Mat, Mat]:
 # --- GF(2) trace-zero space and its invariant subspaces ----------------------
 
 
-def _bits_to_rows(mask: int, n: int) -> tuple[int, ...]:
-    full = (1 << n) - 1
-    return tuple((mask >> (i * n)) & full for i in range(n))
-
-
-def _rows_to_bits(rows: Sequence[int], n: int) -> int:
-    out = 0
-    for i, r in enumerate(rows):
-        out |= r << (i * n)
-    return out
-
-
-def _f2_mul_rows(x: Sequence[int], y: Sequence[int], n: int) -> tuple[int, ...]:
-    out = []
-    for i in range(n):
-        acc = 0
-        r = x[i]
-        j = 0
-        while r:
-            if r & 1:
-                acc ^= y[j]
-            r >>= 1
-            j += 1
-        out.append(acc)
-    return tuple(out)
-
-
 def _xor_table(images: Sequence[int]) -> list[int]:
     """table[v] = XOR of images[b] over the set bits b of v."""
     table = [0]
@@ -886,28 +832,19 @@ def invariant_subreps(n: int) -> SubrepScan:
 
     Each such span is the smallest invariant subspace containing its seed, so
     the set of spans determines all invariant subspaces: any invariant W is a
-    union of spans of its members.  A matrix is a bitmask (entry (i, j) at
-    bit i*n + j); conjugation is GF(2)-linear, so each generator acts through
-    two tables, one for the low byte of the mask and one for the rest.
+    union of spans of its members.  A matrix is its code mod 2, one bit per
+    entry; conjugation is GF(2)-linear, so each generator acts through two
+    tables, one for the low byte of the code and one for the rest.
     """
     if n not in (3, 4):
         raise ValueError("scan is sized for n in {3, 4}")
     cells = n * n
+    space = _space(n, 2)
     conjugations = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            # Elementary matrices are involutions over GF(2): g^-1 = g.
-            g = _bits_to_rows(_mask_of_elementary(i, j, n), n)
-            images = [
-                _rows_to_bits(
-                    _f2_mul_rows(_f2_mul_rows(g, _bits_to_rows(1 << bit, n), n), g, n), n
-                )
-                for bit in range(cells)
-            ]
-            conjugations.append((_xor_table(images[:8]), _xor_table(images[8:])))
-    identity_mask = sum(1 << (i * n + i) for i in range(n))
+    for g in sl_generators(n, 2):
+        images = list(map(space.conjugator(g), (1 << bit for bit in range(cells))))
+        conjugations.append((_xor_table(images[:8]), _xor_table(images[8:])))
+    identity_mask = mat_identity(n, 2)
     full_dim = cells - 1
 
     seen = bytearray(1 << cells)
@@ -972,11 +909,6 @@ def invariant_subreps(n: int) -> SubrepScan:
         classification=tuple(labels),
         complete=complete,
     )
-
-
-def _mask_of_elementary(i: int, j: int, n: int) -> int:
-    mask = sum(1 << (k * n + k) for k in range(n))
-    return mask | (1 << (i * n + j))
 
 
 # --- diagonal-parity obstruction ----------------------------------------------

@@ -996,7 +996,12 @@ class Parser:
             want = _GRAPH_CTORS[ctor_tok.value]
             if len(args) != want:
                 raise self.error(f"{ctor_tok.value} takes {want} argument(s)")
-            shape = _ctor_shape(ctor_tok.value, tuple(args))
+            try:
+                shape = _ctor_shape(ctor_tok.value, tuple(args))
+            except ValueError as exc:
+                raise ParseError(
+                    f"{ctor_tok.value}: {exc}", ctor_tok.line, ctor_tok.col
+                ) from None
             self.graphs[name_tok.value] = shape
             return GraphCtorDecl(name_tok.value, ctor_tok.value, tuple(args))
         self.expect_punct("{")

@@ -1,4 +1,5 @@
 import random
+from itertools import islice, product
 
 import pytest
 
@@ -8,7 +9,7 @@ from autfn.modgroups import (
     encode, enumerate_group, find_generating_pair, invariant_subreps, is_simple,
     kernel_of_reduction, load_generating_pair, mat_identity, mat_inv, mat_mul,
     mat_pow, normal_closure, product_section_fixture, project_mod, psl_group,
-    quotient_by_center, sl_generators, sl_group, split_obstruction,
+    quotient_by_center, section_search, sl_generators, sl_group, split_obstruction,
     splitting_search, verify_obstruction_certificate,
 )
 
@@ -147,7 +148,7 @@ class TestNormalClosure:
         sub = normal_closure([seed], g)
         elems = set(sub.elements)
         for gen in g.generators:
-            gi = g.inv(gen)
+            gi = mat_inv(gen, 3, 4)
             for s in sub.generators:
                 assert mat_mul(mat_mul(gen, s, 3, 4), gi, 3, 4) in elems
 
@@ -247,6 +248,94 @@ class TestSplitting:
     def test_rejects_non_generating_pair(self):
         with pytest.raises(ValueError):
             splitting_search((mat_identity(3, 2), elementary_mat(1, 2, 1, 3, 2)))
+
+
+def _bfs_section(a, b, op, identity, is_kernel_element, target_order):
+    """Test oracle: breadth-first closure of <a, b> that rejects the pair as
+    soon as the subgroup grows past the target order or meets a nontrivial
+    kernel element; a pair passes when it reaches the target order."""
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in (a, b):
+                y = op(x, g)
+                if y not in seen:
+                    if len(seen) >= target_order:
+                        return False
+                    if y != identity and is_kernel_element(y):
+                        return False
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return len(seen) == target_order
+
+
+class TestSectionOracle:
+    """The capped closure of section_search against the kernel-element BFS,
+    one lift pair at a time."""
+
+    def test_agrees_on_splitting_lift_pairs(self):
+        n, p, m = 3, 2, 4
+        a, b = load_generating_pair()
+        small = enumerate_group(n, p, [a, b])
+        orders = [small.element_order(a), small.element_order(b)]
+        kernel = kernel_of_reduction(n, p, verify_pairs=False).kernel.elements
+        ident, ident_p = mat_identity(n, m), mat_identity(n, p)
+        fibers = [
+            [mat_mul(encode(decode(x, n, p), m), k, n, m) for k in kernel]
+            for x in (a, b)
+        ]
+        good = [
+            [x for x in fiber if mat_pow(x, k, n, m) == ident]
+            for fiber, k in zip(fibers, orders)
+        ]
+        verdicts = []
+        for x, y in islice(product(*good), 200):
+            got = section_search([x], [y], n, m, *orders, small.order).found
+            want = _bfs_section(
+                x, y, lambda u, v: mat_mul(u, v, n, m), ident,
+                lambda u: project_mod(u, n, m, p) == ident_p, small.order,
+            )
+            assert got == want
+            verdicts.append(got)
+        assert len(verdicts) == 200
+        assert True in verdicts and False in verdicts
+
+    def test_agrees_on_fixture_pairs(self):
+        # The oracle works in SL_3(Z/2) x Z/2 as (matrix, bit) pairs; the
+        # search in GL_5(Z/2) as block-diagonal diag(matrix, swap^bit).
+        n, p = 3, 2
+        a, b = find_generating_pair(sl_group(n, p))
+        small = enumerate_group(n, p, [a, b])
+        orders = [small.element_order(a), small.element_order(b)]
+        ident = mat_identity(n, p)
+
+        def block(x, bit):
+            e = list(decode(x, n, p))
+            tail = [[0, 1], [1, 0]] if bit else [[1, 0], [0, 1]]
+            rows = [e[i * n : i * n + n] + [0, 0] for i in range(n)]
+            rows += [[0] * n + r for r in tail]
+            return encode([v for row in rows for v in row], p)
+
+        def op(u, v):
+            return (mat_mul(u[0], v[0], n, p), (u[1] + v[1]) % 2)
+
+        verdicts = []
+        for bit_a, bit_b in product((0, 1), repeat=2):
+            got = section_search(
+                [block(a, bit_a)], [block(b, bit_b)], n + 2, p, *orders, small.order
+            ).found
+            want = _bfs_section(
+                (a, bit_a), (b, bit_b), op, (ident, 0),
+                lambda u: u[0] == ident, small.order,
+            )
+            assert got == want
+            verdicts.append(got)
+        assert verdicts[0]
+        result = product_section_fixture()
+        assert (result.found, result.pairs_tried, result.pairs_expanded) == (True, 4, 1)
 
 
 class TestSubreps:

@@ -113,6 +113,18 @@ class TestReplayAll:
         assert report.failures == 1
         assert report.passes == 1
 
+    def test_bad_graph_constructor_is_one_parse_error(self, tmp_path):
+        (tmp_path / "a.scn").write_text("rank 2\nassert id == id\n")
+        (tmp_path / "b.scn").write_text("rank 2\ngraph g = rose(0)\n")
+        (tmp_path / "c.scn").write_text("rank 2\nassert P(1,2) * P(1,2) == id\n")
+        report = replay_all(tmp_path)
+        assert [(r.scenario, r.assertion, r.status) for r in report.records] == [
+            ("a", "assert id == id", "pass"),
+            ("b", "(parse)", "error"),
+            ("c", "assert P(1, 2) * P(1, 2) == id", "pass"),
+        ]
+        assert "line 2, column 11" in report.records[1].detail
+
 
 class TestLint:
     def test_bundled_corpus_clean(self):

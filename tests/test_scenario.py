@@ -1,7 +1,10 @@
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from autfn.runner import bundled_corpus_dir
-from autfn.scenario import ParseError, parse_scenario
+from autfn.scenario import KEYWORDS, PUNCT, ParseError, parse_scenario
 
 
 class TestParseBasics:
@@ -107,6 +110,16 @@ aut f = induced t at v0 basis B
             parse_scenario(text)
 
 
+    @pytest.mark.parametrize(
+        "ctor", ["rose(0)", "ring(0, 2)", "closedchain(-3)", "hairy(-1)"]
+    )
+    def test_bad_constructor_arguments_are_located(self, ctor):
+        with pytest.raises(ParseError) as exc:
+            parse_scenario(f"rank 2\ngraph g = {ctor}")
+        assert (exc.value.line, exc.value.col) == (2, 11)
+        assert ctor.split("(")[0] in exc.value.message
+
+
 class TestPrettyRoundTrip:
     def test_inline_example(self):
         src = "rank 2  aut p = P(1,2)  assert p * p == id"
@@ -140,3 +153,48 @@ class TestCheckStatements:
     def test_wrong_arity(self):
         with pytest.raises(ParseError, match="argument"):
             parse_scenario("rank 3\ncheck order(3) == 168")
+
+
+_TOKEN = re.compile(r"-?\d+|[A-Za-z_][\w-]*|->|==|!=|\.\.|\S")
+_ARGUMENT = re.compile(r"(?<=[(,])\s*-?\d+")  # an integer argument of a call
+_CORPUS = [path.read_text() for path in sorted(bundled_corpus_dir().glob("*.scn"))]
+_VOCAB = sorted(KEYWORDS | set(PUNCT))
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A bundled scenario with one to three edits: a token replaced by a
+    keyword or punctuation, an integer argument of a call replaced by a small
+    integer, a line cut short, or a keyword or punctuation inserted."""
+    text = draw(st.sampled_from(_CORPUS))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["token", "argument", "truncate", "insert"]))
+        if kind == "truncate":
+            lines = text.split("\n")
+            i = draw(st.integers(0, len(lines) - 1))
+            lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
+            text = "\n".join(lines)
+        elif kind == "insert":
+            at = draw(st.integers(0, len(text)))
+            text = f"{text[:at]} {draw(st.sampled_from(_VOCAB))} {text[at:]}"
+        else:
+            pattern = _TOKEN if kind == "token" else _ARGUMENT
+            spans = [m.span() for m in pattern.finditer(text)]
+            if not spans:
+                continue
+            start, end = draw(st.sampled_from(spans))
+            if kind == "token":
+                new = draw(st.sampled_from(_VOCAB))
+            else:
+                new = str(draw(st.integers(-3, 3)))
+            text = text[:start] + new + text[end:]
+    return text
+
+
+@settings(deadline=None, max_examples=400, derandomize=True)
+@given(mutated_scenarios())
+def test_mutated_scenarios_parse_or_raise_located_parse_error(text):
+    try:
+        parse_scenario(text)
+    except ParseError as exc:
+        assert exc.line >= 1 and exc.col >= 1
