@@ -19,53 +19,46 @@ from . import modgroups
 from .endos import is_inner, order as endo_order
 from .matrices import abelianize, det as int_det, mod_reduce
 from .runner import Evaluator, lint_scenarios, replay_all, run_scenario
-from .scenario import ParseError, parse_scenario
+from .scenario import Assertion, CheckStmt, ParseError, Parser, parse_scenario
 from .words import format_word
 
 
 def _load_scenario(path: str):
-    text = Path(path).read_text()
-    return parse_scenario(text, name=Path(path).stem)
+    return parse_scenario(Path(path).read_text(), name=Path(path).stem)
 
 
-def _parse_expr(rank: int, expr: str):
-    scenario = parse_scenario(f"rank {rank}\naut main__ = {expr}")
-    ev = Evaluator(scenario)
-    for stmt in scenario.statements:
-        ev.exec_statement(stmt, "")
-    return ev, ev.auts["main__"]
+def _fragment(parser: Parser, text: str, rule):
+    """``parser.parse_fragment``, naming the text in any error."""
+    try:
+        return parser.parse_fragment(text, rule)
+    except ParseError as exc:
+        raise ValueError(f"{text!r}: {exc}") from None
 
 
-def _parse_word_arg(ev: Evaluator, text: str):
-    from .scenario import Parser
+def _at_rank(rank: int) -> tuple[Parser, Evaluator]:
+    """A parser and an evaluator for expressions at ``rank``."""
+    if rank < 1:
+        raise ValueError("--rank must be positive")
+    parser = Parser(f"rank {rank}")
+    return parser, Evaluator(parser.parse())
 
-    parser = Parser(f"rank {ev.rank}\nword main__ = {text}")
-    scen = parser.parse()
-    ev2 = Evaluator(scen)
-    for stmt in scen.statements:
-        ev2.exec_statement(stmt, "")
-    return ev2.words["main__"]
+
+def _expr(args: argparse.Namespace):
+    """The endomorphism of ``args.expr`` at ``args.rank``."""
+    parser, ev = _at_rank(args.rank)
+    return ev.aut_of(_fragment(parser, args.expr, parser.parse_aut_expr))
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
-    try:
-        scenario = _load_scenario(args.file)
-    except ParseError as exc:
-        print(f"{args.file}: {exc}", file=sys.stderr)
-        return 1
-    asserts = sum(1 for s in scenario.statements if type(s).__name__ in ("Assertion", "CheckStmt"))
+    scenario = _load_scenario(args.file)
+    asserts = sum(isinstance(s, (Assertion, CheckStmt)) for s in scenario.statements)
     print(f"{scenario.name}: rank {scenario.rank}, {len(scenario.statements)} statements, "
           f"{asserts} assertions")
     return 0
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        scenario = _load_scenario(args.file)
-    except ParseError as exc:
-        print(f"{args.file}: {exc}", file=sys.stderr)
-        return 1
-    report = run_scenario(scenario, include_large=args.include_large)
+    report = run_scenario(_load_scenario(args.file), include_large=args.include_large)
     print(report.to_json() if args.json else report.human())
     return 0 if report.ok() else 1
 
@@ -86,27 +79,27 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_compose(args: argparse.Namespace) -> int:
-    _, endo = _parse_expr(args.rank, args.expr)
-    print(endo)
+    print(_expr(args))
     return 0
 
 
 def cmd_apply(args: argparse.Namespace) -> int:
-    ev, endo = _parse_expr(args.rank, args.expr)
-    word = _parse_word_arg(ev, args.word)
+    parser, ev = _at_rank(args.rank)
+    endo = ev.aut_of(_fragment(parser, args.expr, parser.parse_aut_expr))
+    word = ev.word_of(_fragment(parser, args.word, parser.parse_word_lit))
     print(format_word(endo.apply(word)))
     return 0
 
 
 def cmd_order(args: argparse.Namespace) -> int:
-    _, endo = _parse_expr(args.rank, args.expr)
+    endo = _expr(args)
     result = endo_order(endo, max_power=args.cap_power, max_word_len=args.cap_len)
     print("unbounded (cap reached)" if result is None else result)
     return 0
 
 
 def cmd_inner(args: argparse.Namespace) -> int:
-    _, endo = _parse_expr(args.rank, args.expr)
+    endo = _expr(args)
     witness = is_inner(endo)
     if witness is None:
         print("not inner")
@@ -116,20 +109,18 @@ def cmd_inner(args: argparse.Namespace) -> int:
 
 
 def cmd_abelianize(args: argparse.Namespace) -> int:
-    _, endo = _parse_expr(args.rank, args.expr)
-    matrix = abelianize(endo)
-    if args.mod:
-        print(mod_reduce(matrix, args.mod))
-    else:
-        print(matrix)
+    matrix = abelianize(_expr(args))
+    print(mod_reduce(matrix, args.mod) if args.mod else matrix)
     return 0
 
 
 def cmd_det(args: argparse.Namespace) -> int:
-    _, endo = _parse_expr(args.rank, args.expr)
-    value = int_det(abelianize(endo))
+    matrix = abelianize(_expr(args))
+    value = int_det(matrix)
     if args.mod:
-        print(f"{value} (mod {args.mod}: {value % args.mod})")
+        # Reduce through mod_reduce so that it applies the one rule for moduli.
+        reduced = int_det(mod_reduce(matrix, args.mod)) % args.mod
+        print(f"{value} (mod {args.mod}: {reduced})")
     else:
         print(value)
     return 0
@@ -137,27 +128,25 @@ def cmd_det(args: argparse.Namespace) -> int:
 
 def cmd_realize(args: argparse.Namespace) -> int:
     """Evaluate a scenario file's definitions, then print one induced action."""
-    expr = f"induced {args.gaut} "
-    expr += f"at {args.at}" if args.at else f"delta {args.delta}"
+    parser = Parser(Path(args.file).read_text())
+    scenario = parser.parse(default_name=Path(args.file).stem)
+    text = f"induced {args.gaut} "
+    text += f"at {args.at}" if args.at else f"delta {args.delta}"
     if args.basis:
-        expr += f" basis {args.basis}"
-    try:
-        source = Path(args.file).read_text() + f"\naut realized__ = {expr}\n"
-        scenario = parse_scenario(source, name=Path(args.file).stem)
-    except ParseError as exc:
-        print(f"{args.file}: {exc}", file=sys.stderr)
-        return 1
+        text += f" basis {args.basis}"
+    expr = _fragment(parser, text, parser.parse_aut_expr)
     ev = Evaluator(scenario)
     for stmt in scenario.statements:
-        if type(stmt).__name__ in ("Assertion", "CheckStmt"):
-            continue
-        ev.exec_statement(stmt, "")
-    print(ev.auts["realized__"])
+        if not isinstance(stmt, (Assertion, CheckStmt)):
+            ev.exec_statement(stmt, "")
+    print(ev.aut_of(expr))
     return 0
 
 
 def cmd_closure(args: argparse.Namespace) -> int:
     """Normal closure of an elementary-matrix power; JSON verdict."""
+    if args.n < 1 or args.mod < 2:
+        raise ValueError("closure needs --n at least 1 and --mod at least 2")
     start = time.perf_counter()
     group = modgroups.sl_group(args.n, args.mod)
     seed = modgroups.elementary_mat(args.k, args.r, args.power, args.n, args.mod)
@@ -241,7 +230,14 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "at", None) is None and getattr(args, "delta", "x") is None:
         parser.error("realize needs --at or --delta")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ParseError, ValueError, OSError) as exc:
+        # One line on stderr; file commands name their file first.
+        message = getattr(exc, "strerror", None) or str(exc)
+        file = getattr(args, "file", None)
+        print(f"{file}: {message}" if file else message, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

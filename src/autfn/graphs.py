@@ -10,7 +10,7 @@ generators are reproducible; custom bases are reached through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .endos import Endomorphism, is_basis
@@ -24,18 +24,20 @@ class Graph:
 
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str, str], ...]
+    ends: dict[str, tuple[str, str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         vset = set(self.vertices)
         if len(vset) != len(self.vertices):
             raise ValueError("duplicate vertex ids")
-        seen: set[str] = set()
+        ends: dict[str, tuple[str, str]] = {}
         for name, src, dst in self.edges:
-            if name in seen:
+            if name in ends:
                 raise ValueError(f"duplicate edge id {name!r}")
-            seen.add(name)
             if src not in vset or dst not in vset:
                 raise ValueError(f"edge {name!r} has missing endpoint")
+            ends[name] = (src, dst)
+        object.__setattr__(self, "ends", ends)
         if not self._connected():
             raise ValueError("graph is not connected")
 
@@ -57,10 +59,7 @@ class Graph:
         return len(seen) == len(self.vertices)
 
     def endpoints(self, edge_id: str) -> tuple[str, str]:
-        return self._edge_index()[edge_id]
-
-    def _edge_index(self) -> dict[str, tuple[str, str]]:
-        return {name: (src, dst) for name, src, dst in self.edges}
+        return self.ends[edge_id]
 
     def rank(self) -> int:
         """First Betti number |E| - |V| + 1."""
@@ -91,7 +90,7 @@ class EdgePath:
         at = self.start
         if at not in self.graph.vertices:
             raise ValueError(f"unknown start vertex {self.start!r}")
-        index = self.graph._edge_index()
+        index = self.graph.ends
         for step in self.steps:
             if step.edge not in index:
                 raise ValueError(f"unknown edge {step.edge!r}")
@@ -149,7 +148,7 @@ class GraphAut:
         ids = {name for name, _, _ in g.edges}
         if set(self.edge_map) != ids or {t for t, _ in self.edge_map.values()} != ids:
             raise ValueError("edge map is not a permutation of the edges")
-        index = g._edge_index()
+        index = g.ends
         for e, (target, rev) in self.edge_map.items():
             src, dst = index[e]
             tsrc, tdst = index[target]
@@ -356,7 +355,7 @@ def collapse_forest(
 ) -> tuple[Graph, GraphAut]:
     """Contract an invariant forest; homotopy type, hence rank, is preserved."""
     forest_ids = set(forest)
-    index = graph._edge_index()
+    index = graph.ends
     for e in forest_ids:
         if e not in index:
             raise ValueError(f"unknown edge {e!r} in forest")
@@ -458,6 +457,13 @@ def open_chain(k: int) -> Graph:
         edges.append((f"s{i}_2", f"v{i - 1}", f"v{i}"))
     edges.append((f"s{k}", f"v{k - 1}", f"v{k - 1}"))
     return Graph(vertices, tuple(edges))
+
+
+# The scenario language's graph constructors, by keyword.
+CONSTRUCTORS = {
+    "rose": rose, "hairy": hairy, "ring": ring,
+    "closedchain": closed_chain, "openchain": open_chain,
+}
 
 
 def rotation_aut(graph: Graph) -> GraphAut:

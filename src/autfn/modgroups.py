@@ -524,24 +524,29 @@ def _kernel_shape_members(n: int, p: int) -> set[Mat]:
     }
 
 
-def kernel_of_reduction(
-    n: int, p: int = 2, verify_pairs: bool = True
-) -> KernelReport:
+@lru_cache(maxsize=None)
+def _reduction_kernel(n: int, p: int) -> tuple[Mat, ...]:
+    """Sorted codes of the kernel of SL_n(Z/p^2) -> SL_n(Z/p)."""
+    m = p * p
+    reduce_p = _projection(n, m, p)
+    ident_small = mat_identity(n, p)
+    return tuple(e for e in sl_group(n, m).elements if reduce_p(e) == ident_small)
+
+
+def kernel_of_reduction(n: int, p: int = 2) -> KernelReport:
     """Kernel of the mod-p reduction of SL_n(Z/p^2), with its additive model.
 
     Writing each kernel element as I + pA, the map I + pA -> A mod p is an
-    isomorphism onto the additive group of trace-zero matrices over Z/p;
-    ``verify_pairs`` checks the homomorphism identity over every pair.  The
-    entries of I + pA are those of I plus p times those of A, without carries,
-    so the code of A (entries below p, read mod p^2) is (code - code of I)/p.
+    isomorphism onto the additive group of trace-zero matrices over Z/p; the
+    report checks the homomorphism identity over every pair.  The entries of
+    I + pA are those of I plus p times those of A, without carries, so the
+    code of A (entries below p, read mod p^2) is (code - code of I)/p.
     """
     m = p * p
     group = sl_group(n, m)
     reduce_p = _projection(n, m, p)
-    ident_small = mat_identity(n, p)
-    reduced = list(map(reduce_p, group.elements))
-    kernel_elems = [e for e, r in zip(group.elements, reduced) if r == ident_small]
-    image = set(reduced)
+    kernel_elems = _reduction_kernel(n, p)
+    image = set(map(reduce_p, group.elements))
     sub = group.subgroup(kernel_elems)
 
     shape_ok = set(kernel_elems) == _kernel_shape_members(n, p)
@@ -549,7 +554,7 @@ def kernel_of_reduction(
     ident = group.identity
     parts = {e: (e - ident) // p for e in kernel_elems}
     iso_ok = len(set(parts.values())) == len(kernel_elems)
-    if iso_ok and verify_pairs:
+    if iso_ok:
         # Entries of A + B stay below 2p <= p^2, so reducing the sum of two
         # codes mod p is A + B mod p; compare it with A of the product.
         space = _space(n, m)
@@ -581,16 +586,14 @@ def closure_equals_reduction_kernel(n: int, p: int, power: int) -> bool:
     SL_n(Z/p^2) is exactly the kernel of reduction mod p."""
     m = p * p
     group = sl_group(n, m)
-    reduce_p = _projection(n, m, p)
-    ident = mat_identity(n, p)
-    kernel = {e for e in group.elements if reduce_p(e) == ident}
+    kernel = _reduction_kernel(n, p)
     for k in range(1, n + 1):
         for r in range(1, n + 1):
             if k == r:
                 continue
             seed = elementary_mat(k, r, power, n, m)
             closure = normal_closure([seed], group)
-            if set(closure.elements) != kernel:
+            if closure.elements != kernel:
                 return False
     return True
 
@@ -713,8 +716,7 @@ def splitting_search(
     if small.order != sl_group(n, p).order:
         raise ValueError("pair does not generate the target group")
 
-    report = kernel_of_reduction(n, p, verify_pairs=False)
-    kernel_elems = report.kernel.elements
+    kernel_elems = _reduction_kernel(n, p)
     space = _space(n, m)
     # Same entries, read mod p^2; the fiber over a is lift(a) times the kernel.
     lift_a0 = encode(decode(a, n, p), m)

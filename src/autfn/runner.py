@@ -21,9 +21,8 @@ from .endos import (
     out_order,
 )
 from .graphs import (
-    EdgePath, EdgeStep, Graph, GraphAut, closed_chain, hairy, induced_endo,
-    induced_out_rep, open_chain, pair_swap_aut, presentation, ring, rose,
-    rotation_aut,
+    EdgePath, EdgeStep, Graph, GraphAut, induced_endo, induced_out_rep,
+    pair_swap_aut, presentation, rotation_aut,
 )
 from .matrices import (
     IntMatrix, abelianize, congruence_level_member, det, elementary,
@@ -113,31 +112,6 @@ class Evaluator:
 
     # value construction
 
-    def gen_names(self) -> list[str]:
-        if self.layout.is_default():
-            return [f"x{i}" for i in range(1, self.rank + 1)]
-        names = [""] * self.rank
-        for item in self.layout.items:
-            if item.dims is None:
-                idx = self.layout.resolve(item.name, None)
-                assert idx is not None
-                names[idx - 1] = item.name
-            else:
-                ranges = [range(lo, hi + 1) for _, lo, hi in item.dims]
-
-                def fill(prefix: tuple[int, ...], rest: list[range]) -> None:
-                    if not rest:
-                        idx = self.layout.resolve(item.name, prefix)
-                        assert idx is not None
-                        coord = ",".join(str(c) for c in prefix)
-                        names[idx - 1] = f"{item.name}({coord})"
-                        return
-                    for v in rest[0]:
-                        fill(prefix + (v,), rest[1:])
-
-                fill((), ranges)
-        return names
-
     def word_of(self, lit: WordLit) -> Word:
         letters: list[int] = []
         for ref, exp in lit.atoms:
@@ -164,10 +138,7 @@ class Evaluator:
                 )
             return self.auts[expr.name]
         if isinstance(expr, AutNamedGen):
-            idx = [a.index for a in expr.args]
-            if expr.kind == "I":
-                return named("I", idx[0], rank=self.rank)
-            return named(expr.kind, idx[0], idx[1], rank=self.rank)
+            return named(expr.kind, *(a.index for a in expr.args), rank=self.rank)
         if isinstance(expr, AutPow):
             return self.aut_of(expr.base) ** expr.exp
         if isinstance(expr, AutProd):
@@ -229,16 +200,7 @@ class Evaluator:
             return elementary(lit.k, lit.r, lit.power, self.rank)
         return IntMatrix.from_rows(lit.rows)
 
-    # graph construction
-
-    def build_graph(self, stmt: GraphCtorDecl | GraphBlockDecl) -> Graph:
-        if isinstance(stmt, GraphCtorDecl):
-            builder = {
-                "rose": rose, "hairy": hairy, "ring": ring,
-                "closedchain": closed_chain, "openchain": open_chain,
-            }[stmt.ctor]
-            return builder(*stmt.args)
-        return Graph(stmt.vertices, stmt.edges)
+    # graph automorphisms
 
     def build_gaut(self, stmt: GautBuiltinDecl | GautBlockDecl) -> GraphAut:
         graph = self.graphs[stmt.graph]
@@ -307,7 +269,7 @@ class Evaluator:
             self.auts[stmt.name] = Endomorphism(self.rank, tuple(images))
             return
         if isinstance(stmt, (GraphCtorDecl, GraphBlockDecl)):
-            self.graphs[stmt.name] = self.build_graph(stmt)
+            self.graphs[stmt.name] = stmt.graph
             return
         if isinstance(stmt, (GautBuiltinDecl, GautBlockDecl)):
             self.gauts[stmt.name] = self.build_gaut(stmt)
@@ -345,7 +307,7 @@ class Evaluator:
             witness = equal_up_to_inner(f, g)
             return verdict(
                 witness is not None,
-                f"conjugator {format_word(witness, self.gen_names())}"
+                f"conjugator {format_word(witness, self.layout.names())}"
                 if witness is not None else f"lhs: {f}; rhs: {g}",
             )
         if k in ("order", "outorder"):
@@ -379,27 +341,27 @@ class Evaluator:
             if stmt.word is not None and witness != self.word_of(stmt.word):
                 return verdict(
                     False,
-                    f"inner, but conjugator is {format_word(witness, self.gen_names())}",
+                    f"inner, but conjugator is {format_word(witness, self.layout.names())}",
                 )
-            return verdict(True, f"conjugator {format_word(witness, self.gen_names())}")
+            return verdict(True, f"conjugator {format_word(witness, self.layout.names())}")
         if k == "notinner":
             witness = is_inner(f)
             return verdict(
                 witness is None,
                 "" if witness is None
-                else f"inner with conjugator {format_word(witness, self.gen_names())}",
+                else f"inner with conjugator {format_word(witness, self.layout.names())}",
             )
         if k == "fixes":
             w = self.word_of(stmt.word)
             got = f.apply(w)
-            return verdict(got == w, "" if got == w else f"image {format_word(got, self.gen_names())}")
+            return verdict(got == w, "" if got == w else f"image {format_word(got, self.layout.names())}")
         if k == "maps":
             w = self.word_of(stmt.word)
             want = self.word_of(stmt.word2)
             got = f.apply(w)
             return verdict(
                 got == want,
-                "" if got == want else f"image {format_word(got, self.gen_names())}",
+                "" if got == want else f"image {format_word(got, self.layout.names())}",
             )
         raise AssertionError(f"unhandled assertion kind {k}")
 
@@ -527,14 +489,21 @@ def bundled_anchor_list() -> list[str]:
     return [line.strip() for line in path.read_text().splitlines() if line.strip()]
 
 
+def _scenario_files(corpus_dir: "Path | str | None") -> list[Path]:
+    """The ``*.scn`` files of a directory (default: the bundled corpus)."""
+    directory = Path(corpus_dir) if corpus_dir is not None else bundled_corpus_dir()
+    if not directory.is_dir():
+        raise NotADirectoryError(f"{directory} is not a directory")
+    return sorted(directory.glob("*.scn"))
+
+
 def replay_all(
     corpus_dir: "Path | str | None" = None, include_large: bool = False
 ) -> ReplayReport:
     """Run every ``*.scn`` scenario in a directory; unreadable or unparsable
     files are reported and the rest still run."""
-    directory = Path(corpus_dir) if corpus_dir is not None else bundled_corpus_dir()
     records: list[Record] = []
-    for path in sorted(directory.glob("*.scn")):
+    for path in _scenario_files(corpus_dir):
         try:
             text = path.read_text()
         except OSError as exc:
@@ -552,10 +521,9 @@ def replay_all(
 def lint_scenarios(corpus_dir: "Path | str | None" = None) -> list[str]:
     """Check that every scenario file parses, carries an anchor comment, and
     that the anchor appears in the bundled anchor list."""
-    directory = Path(corpus_dir) if corpus_dir is not None else bundled_corpus_dir()
     known = set(bundled_anchor_list())
     problems: list[str] = []
-    for path in sorted(directory.glob("*.scn")):
+    for path in _scenario_files(corpus_dir):
         try:
             scenario = parse_scenario(path.read_text(), name=path.stem)
         except ParseError as exc:

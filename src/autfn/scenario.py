@@ -16,8 +16,13 @@ generator positions, earlier dimensions varying fastest.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, field
+from itertools import product
+from math import prod
+from typing import Callable, Optional, TypeVar, Union
+
+from .endos import NAMED_KINDS
+from .graphs import CONSTRUCTORS, Graph
 
 KEYWORDS = {
     "scenario", "rank", "const", "gens", "word", "aut", "graph", "gaut",
@@ -25,11 +30,12 @@ KEYWORDS = {
     "basepoint", "id", "e", "order", "outorder", "unbounded", "det", "matrix",
     "mod", "level", "torelli", "inner", "witness", "not", "fixes", "maps",
     "to", "elementary", "vertex", "edge", "loop", "rotation", "pairswap",
-    "rose", "hairy", "ring", "closedchain", "openchain",
-}
+} | set(CONSTRUCTORS)
 
 # Named automorphism constructors; also unavailable as user identifiers.
-AUT_CONSTRUCTORS = {"L", "R", "C", "P", "I"}
+AUT_CONSTRUCTORS = set(NAMED_KINDS)
+
+T = TypeVar("T")
 
 PUNCT = (
     "->", "==", "!=", "..", "{", "}", "(", ")", "[", "]",
@@ -218,7 +224,7 @@ class AutPow:
 
     def pretty(self) -> str:
         base = self.base.pretty()
-        if isinstance(self.base, (AutProd, AutInduced)):
+        if isinstance(self.base, (AutProd, AutInduced, AutPow)):
             base = f"({base})"
         return f"{base}^{self.exp}"
 
@@ -287,6 +293,11 @@ class LayoutItem:
     name: str
     dims: Optional[tuple[tuple[str, int, int], ...]]  # (var, lo, hi)
 
+    @property
+    def size(self) -> int:
+        """Number of generators the item stands for."""
+        return 1 if self.dims is None else prod(hi - lo + 1 for _, lo, hi in self.dims)
+
     def pretty(self) -> str:
         if self.dims is None:
             return self.name
@@ -335,6 +346,7 @@ class GraphCtorDecl:
     name: str
     ctor: str
     args: tuple[int, ...]
+    graph: Graph = field(compare=False, repr=False)
 
     def pretty(self) -> str:
         return f"graph {self.name} = {self.ctor}({', '.join(map(str, self.args))})"
@@ -345,6 +357,7 @@ class GraphBlockDecl:
     name: str
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str, str], ...]  # includes loops (src == dst)
+    graph: Graph = field(compare=False, repr=False)
 
     def pretty(self) -> str:
         parts = [f"vertex {' '.join(self.vertices)};"]
@@ -475,38 +488,52 @@ class Layout:
     """Mapping from generator surface names to flattened 1-based indices."""
 
     items: tuple[LayoutItem, ...]
-    rank: int
+    rank: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rank", sum(item.size for item in self.items))
 
     def resolve(self, name: str, coords: Optional[tuple[int, ...]]) -> Optional[int]:
         base = 0
         for item in self.items:
-            if item.dims is None:
-                if name == item.name and coords is None:
+            if name == item.name and (coords is None) == (item.dims is None):
+                if coords is None:
                     return base + 1
-                base += 1
-            else:
-                sizes = [hi - lo + 1 for _, lo, hi in item.dims]
-                count = 1
-                for s in sizes:
-                    count *= s
-                if name == item.name and coords is not None:
-                    if len(coords) != len(item.dims):
+                if len(coords) != len(item.dims):
+                    return None
+                offset = 0
+                mult = 1
+                # Earlier dimensions vary fastest.
+                for c, (_, lo, hi) in zip(coords, item.dims):
+                    if not lo <= c <= hi:
                         return None
-                    offset = 0
-                    mult = 1
-                    # Earlier dimensions vary fastest.
-                    for c, (_, lo, hi) in zip(coords, item.dims):
-                        if not lo <= c <= hi:
-                            return None
-                        offset += (c - lo) * mult
-                        mult *= hi - lo + 1
-                    return base + offset + 1
-                base += count
+                    offset += (c - lo) * mult
+                    mult *= hi - lo + 1
+                return base + offset + 1
+            base += item.size
         return None
+
+    def names(self) -> list[str]:
+        """Display name of every generator, in flattened order."""
+        if self.is_default():
+            return [f"x{i}" for i in range(1, self.rank + 1)]
+        names: list[str] = []
+        for item in self.items:
+            if item.dims is None:
+                names.append(item.name)
+                continue
+            # product varies its last range fastest, so feed the dimensions
+            # reversed and read each tuple back to front.
+            ranges = [range(lo, hi + 1) for _, lo, hi in reversed(item.dims)]
+            names.extend(
+                f"{item.name}({','.join(map(str, reversed(coords)))})"
+                for coords in product(*ranges)
+            )
+        return names
 
     @staticmethod
     def default(rank: int) -> "Layout":
-        return Layout((LayoutItem("x", (("i", 1, rank),)),), rank)
+        return Layout((LayoutItem("x", (("i", 1, rank),)),))
 
     def is_default(self) -> bool:
         return self.items == (LayoutItem("x", (("i", 1, self.rank),)),)
@@ -524,7 +551,8 @@ class Scenario:
         lines = []
         if self.anchor is not None:
             lines.append(f"# anchor: {self.anchor}")
-        lines.append(f"scenario {self.name}")
+        if self.name not in KEYWORDS:  # the default name "scenario" is reserved
+            lines.append(f"scenario {self.name}")
         lines.extend(stmt.pretty() for stmt in self.statements)
         return "\n".join(lines) + "\n"
 
@@ -537,18 +565,17 @@ _CHECK_FNS = {
     "obstruction": 1,
 }
 
-_GRAPH_CTORS = {"rose": 1, "hairy": 1, "ring": 2, "closedchain": 1, "openchain": 1}
-
 
 class Parser:
     def __init__(self, text: str):
         self.tokens, self.anchors = lex(text)
         self.pos = 0
-        # symbol tables for parse-time name resolution
+        # symbol tables for parse-time name resolution; ``names`` holds every
+        # declared name, whatever its kind, so no two declarations share one
+        self.names: set[str] = set()
         self.consts: dict[str, int] = {}
-        self.words: set[str] = set()
         self.auts: set[str] = set()
-        self.graphs: dict[str, "_GraphShape"] = {}
+        self.graphs: dict[str, Graph] = {}
         self.gauts: dict[str, str] = {}  # gaut name -> graph name
         self.bases: dict[str, str] = {}  # basis name -> graph name
         self.layout: Optional[Layout] = None
@@ -575,9 +602,9 @@ class Parser:
             raise self.error(f"found {tok.value!r}", (repr(value),))
         return self.next()
 
-    def at_punct(self, value: str) -> bool:
+    def at_punct(self, *values: str) -> bool:
         tok = self.peek()
-        return tok.kind == "PUNCT" and tok.value == value
+        return tok.kind == "PUNCT" and tok.value in values
 
     def at_keyword(self, *words: str) -> bool:
         tok = self.peek()
@@ -607,15 +634,64 @@ class Parser:
             return self.consts[tok.value]
         raise self.error(f"expected integer, found {tok.value!r}", ("integer",))
 
-    def fresh_name(self, name: str, line_tok: Token) -> None:
-        taken = (
-            name in self.words or name in self.auts or name in self.graphs
-            or name in self.gauts or name in self.bases or name in self.consts
-        )
-        if taken:
-            raise ParseError(f"name {name!r} already defined", line_tok.line, line_tok.col)
+    def parse_int_args(self) -> tuple[int, ...]:
+        """``(n, n, ...)``: one or more integers or constants."""
+        self.expect_punct("(")
+        got = [self.expect_int()]
+        while self.at_punct(","):
+            self.next()
+            got.append(self.expect_int())
+        self.expect_punct(")")
+        return tuple(got)
 
-    # entry point
+    def parse_value(self, what: str, consts: bool = False) -> int | str:
+        """An integer or a name; with ``consts``, a constant reads as its value."""
+        tok = self.peek()
+        if tok.kind not in ("INT", "IDENT"):
+            raise self.error(f"expected {what}", ("integer", "name"))
+        self.next()
+        if tok.kind == "INT":
+            return int(tok.value)
+        return self.consts.get(tok.value, tok.value) if consts else tok.value
+
+    def parse_seq(
+        self, entry: Callable[[], T], brackets: str = "{}", seps: tuple[str, ...] = (";", ",")
+    ) -> tuple[T, ...]:
+        """``{ entry [sep] entry [sep] ... }``: entries up to the closing
+        bracket, each optionally followed by one separator."""
+        self.expect_punct(brackets[0])
+        entries: list[T] = []
+        while not self.at_punct(brackets[1]):
+            entries.append(entry())
+            if self.at_punct(*seps):
+                self.next()
+        self.expect_punct(brackets[1])
+        return tuple(entries)
+
+    def declare(self, what: str) -> str:
+        """A new name for a definition; no earlier definition may use it."""
+        tok = self.expect_ident(what)
+        if tok.value in self.names:
+            raise ParseError(f"name {tok.value!r} already defined", tok.line, tok.col)
+        self.names.add(tok.value)
+        return tok.value
+
+    def graph_ref(self) -> tuple[str, Graph]:
+        tok = self.expect_ident("graph name")
+        if tok.value not in self.graphs:
+            raise ParseError(f"unknown graph {tok.value!r}", tok.line, tok.col)
+        return tok.value, self.graphs[tok.value]
+
+    def expect_member(self, what: str, kind: str, ids, graph_name: str) -> Token:
+        """An identifier that ``ids``, the vertices or edges of a graph, holds."""
+        tok = self.expect_ident(what)
+        if tok.value not in ids:
+            raise ParseError(
+                f"{kind} {tok.value!r} is not in graph {graph_name!r}", tok.line, tok.col
+            )
+        return tok
+
+    # entry points
 
     def parse(self, default_name: str = "scenario") -> Scenario:
         name = default_name
@@ -634,6 +710,18 @@ class Parser:
             layout=self.layout if self.layout is not None else Layout.default(self.rank),
             statements=tuple(statements),
         )
+
+    def parse_fragment(self, text: str, rule: Callable[[], T]) -> T:
+        """Parse ``text`` on its own with ``rule`` (for example
+        ``parse_aut_expr`` or ``parse_word_lit``) against the names declared
+        so far; the text must end where the rule stops.  Error locations
+        refer to ``text``."""
+        self.tokens, _ = lex(text)
+        self.pos = 0
+        value = rule()
+        if self.peek().kind != "EOF":
+            raise self.error(f"found {self.peek().value!r}", ("end of input",))
+        return value
 
     def require_rank(self) -> int:
         if self.rank is None:
@@ -657,22 +745,18 @@ class Parser:
             return RankDecl(value)
         if kw == "const":
             self.next()
-            name_tok = self.expect_ident("constant name")
-            self.fresh_name(name_tok.value, name_tok)
+            name = self.declare("constant name")
             self.expect_punct("=")
             value = self.expect_int()
-            self.consts[name_tok.value] = value
-            return ConstDecl(name_tok.value, value)
+            self.consts[name] = value
+            return ConstDecl(name, value)
         if kw == "gens":
             return self.parse_gens()
         if kw == "word":
             self.next()
-            name_tok = self.expect_ident("word name")
-            self.fresh_name(name_tok.value, name_tok)
+            name = self.declare("word name")
             self.expect_punct("=")
-            lit = self.parse_word_lit()
-            self.words.add(name_tok.value)
-            return WordDecl(name_tok.value, lit)
+            return WordDecl(name, self.parse_word_lit())
         if kw == "aut":
             return self.parse_aut_decl()
         if kw == "graph":
@@ -733,17 +817,8 @@ class Parser:
         names = [i.name for i in items]
         if len(set(names)) != len(names):
             raise self.error("duplicate generator family name")
-        rank = 0
-        for item in items:
-            if item.dims is None:
-                rank += 1
-            else:
-                count = 1
-                for _, lo, hi in item.dims:
-                    count *= hi - lo + 1
-                rank += count
-        self.rank = rank
-        self.layout = Layout(tuple(items), rank)
+        self.layout = Layout(tuple(items))
+        self.rank = self.layout.rank
         return GensDecl(tuple(items))
 
     # generator references and word literals
@@ -756,15 +831,7 @@ class Parser:
             raise self.error("expected a generator reference", ("generator",))
         name = tok.value
         self.next()
-        coords: Optional[tuple[int, ...]] = None
-        if self.at_punct("("):
-            self.next()
-            got: list[int] = [self.expect_int()]
-            while self.at_punct(","):
-                self.next()
-                got.append(self.expect_int())
-            self.expect_punct(")")
-            coords = tuple(got)
+        coords = self.parse_int_args() if self.at_punct("(") else None
         index = self.layout.resolve(name, coords)
         if index is None and coords is None and self.layout.is_default():
             m = re.fullmatch(r"x(\d+)", name)
@@ -827,7 +894,7 @@ class Parser:
             raise self.error("expected a word literal", ("word",))
         return WordLit(tuple(atoms))
 
-    def parse_path_lit(self, graph: "_GraphShape") -> PathLit:
+    def parse_path_lit(self, graph: Graph) -> PathLit:
         if self.at_keyword("e"):
             self.next()
             return PathLit(())
@@ -836,7 +903,7 @@ class Parser:
             tok = self.peek()
             if tok.kind != "IDENT" or tok.value in KEYWORDS:
                 break
-            if tok.value not in graph.edge_ids:
+            if tok.value not in graph.ends:
                 break
             self.next()
             exp = 1
@@ -854,29 +921,24 @@ class Parser:
 
     def parse_aut_decl(self) -> Statement:
         self.next()
-        name_tok = self.expect_ident("automorphism name")
-        self.fresh_name(name_tok.value, name_tok)
+        name = self.declare("automorphism name")
         if self.at_punct("{"):
-            self.next()
-            entries: list[tuple[GenRef, WordLit]] = []
             seen: set[int] = set()
-            while not self.at_punct("}"):
+
+            def image() -> tuple[GenRef, WordLit]:
                 ref = self.parse_genref()
                 if ref.index in seen:
                     raise self.error(f"duplicate image for {ref.pretty()}")
                 seen.add(ref.index)
                 self.expect_punct("->")
-                lit = self.parse_word_lit()
-                entries.append((ref, lit))
-                if self.at_punct(";") or self.at_punct(","):
-                    self.next()
-            self.expect_punct("}")
-            self.auts.add(name_tok.value)
-            return AutDeclImages(name_tok.value, tuple(entries))
-        self.expect_punct("=")
-        expr = self.parse_aut_expr()
-        self.auts.add(name_tok.value)
-        return AutDeclExpr(name_tok.value, expr)
+                return ref, self.parse_word_lit()
+
+            stmt: Statement = AutDeclImages(name, self.parse_seq(image))
+        else:
+            self.expect_punct("=")
+            stmt = AutDeclExpr(name, self.parse_aut_expr())
+        self.auts.add(name)
+        return stmt
 
     def parse_aut_expr(self) -> AutExpr:
         factors = [self.parse_aut_term()]
@@ -929,24 +991,17 @@ class Parser:
                     gaut_tok.line, gaut_tok.col,
                 )
             graph_name = self.gauts[gaut_tok.value]
-            shape = self.graphs[graph_name]
-            mode: str
+            graph = self.graphs[graph_name]
             vertex = None
             delta = None
             if self.at_keyword("at"):
                 self.next()
                 mode = "at"
-                vtok = self.expect_ident("vertex")
-                if vtok.value not in shape.vertex_ids:
-                    raise ParseError(
-                        f"vertex {vtok.value!r} is not in graph {graph_name!r}",
-                        vtok.line, vtok.col,
-                    )
-                vertex = vtok.value
+                vertex = self.expect_member("vertex", "vertex", graph.vertices, graph_name).value
             elif self.at_keyword("delta"):
                 self.next()
                 mode = "delta"
-                delta = self.parse_path_lit(shape)
+                delta = self.parse_path_lit(graph)
             else:
                 raise self.error("induced needs 'at VERTEX' or 'delta PATH'",
                                  ("at", "delta"))
@@ -976,39 +1031,43 @@ class Parser:
     # graphs
 
     def parse_graph_decl(self) -> Statement:
+        """A constructor call or a block, built into a ``Graph`` here, so a
+        graph that cannot be built is a parse error."""
         self.next()
-        name_tok = self.expect_ident("graph name")
-        self.fresh_name(name_tok.value, name_tok)
+        name_tok = self.peek()
+        name = self.declare("graph name")
         if self.at_punct("="):
             self.next()
             ctor_tok = self.peek()
-            if ctor_tok.kind != "IDENT" or ctor_tok.value not in _GRAPH_CTORS:
+            if ctor_tok.kind != "IDENT" or ctor_tok.value not in CONSTRUCTORS:
                 raise self.error(
-                    "expected a graph constructor", tuple(sorted(_GRAPH_CTORS))
+                    "expected a graph constructor", tuple(sorted(CONSTRUCTORS))
                 )
             self.next()
-            self.expect_punct("(")
-            args = [self.expect_int()]
-            while self.at_punct(","):
-                self.next()
-                args.append(self.expect_int())
-            self.expect_punct(")")
-            want = _GRAPH_CTORS[ctor_tok.value]
+            args = self.parse_int_args()
+            ctor = CONSTRUCTORS[ctor_tok.value]
+            want = ctor.__code__.co_argcount
             if len(args) != want:
                 raise self.error(f"{ctor_tok.value} takes {want} argument(s)")
             try:
-                shape = _ctor_shape(ctor_tok.value, tuple(args))
+                graph = ctor(*args)
             except ValueError as exc:
                 raise ParseError(
                     f"{ctor_tok.value}: {exc}", ctor_tok.line, ctor_tok.col
                 ) from None
-            self.graphs[name_tok.value] = shape
-            return GraphCtorDecl(name_tok.value, ctor_tok.value, tuple(args))
-        self.expect_punct("{")
+            self.graphs[name] = graph
+            return GraphCtorDecl(name, ctor_tok.value, args, graph)
         vertices: list[str] = []
         edges: list[tuple[str, str, str]] = []
         ids: set[str] = set()
-        while not self.at_punct("}"):
+
+        def edge(e: str, s: str, d: str) -> None:
+            if e in ids:
+                raise self.error(f"duplicate edge id {e!r}")
+            ids.add(e)
+            edges.append((e, s, d))
+
+        def part() -> None:
             if self.at_keyword("vertex"):
                 self.next()
                 while self.peek().kind == "IDENT" and self.peek().value not in KEYWORDS:
@@ -1022,36 +1081,30 @@ class Parser:
                 self.next()
                 e = self.expect_ident("edge id").value
                 s = self.expect_ident("source vertex").value
-                d = self.expect_ident("target vertex").value
-                if e in ids:
-                    raise self.error(f"duplicate edge id {e!r}")
-                ids.add(e)
-                edges.append((e, s, d))
+                edge(e, s, self.expect_ident("target vertex").value)
             elif self.at_keyword("loop"):
                 self.next()
                 e = self.expect_ident("loop id").value
                 v = self.expect_ident("vertex").value
-                if e in ids:
-                    raise self.error(f"duplicate edge id {e!r}")
-                ids.add(e)
-                edges.append((e, v, v))
+                edge(e, v, v)
             else:
                 raise self.error("expected vertex/edge/loop", ("vertex", "edge", "loop"))
-            if self.at_punct(";"):
-                self.next()
-        self.expect_punct("}")
+
+        self.parse_seq(part, seps=(";",))
         vset = set(vertices)
         for e, s, d in edges:
             if s not in vset or d not in vset:
                 raise self.error(f"edge {e!r} uses an undeclared vertex")
-        shape = _GraphShape(tuple(vertices), tuple(e for e, _, _ in edges))
-        self.graphs[name_tok.value] = shape
-        return GraphBlockDecl(name_tok.value, tuple(vertices), tuple(edges))
+        try:
+            graph = Graph(tuple(vertices), tuple(edges))
+        except ValueError as exc:
+            raise ParseError(f"{name}: {exc}", name_tok.line, name_tok.col) from None
+        self.graphs[name] = graph
+        return GraphBlockDecl(name, graph.vertices, graph.edges, graph)
 
     def parse_gaut_decl(self) -> Statement:
         self.next()
-        name_tok = self.expect_ident("graph automorphism name")
-        self.fresh_name(name_tok.value, name_tok)
+        name = self.declare("graph automorphism name")
         if self.at_punct("="):
             self.next()
             kind_tok = self.peek()
@@ -1059,84 +1112,54 @@ class Parser:
                 raise self.error("expected rotation or pairswap", ("rotation", "pairswap"))
             self.next()
             self.expect_keyword("on")
-            gtok = self.expect_ident("graph name")
-            if gtok.value not in self.graphs:
-                raise ParseError(f"unknown graph {gtok.value!r}", gtok.line, gtok.col)
-            self.gauts[name_tok.value] = gtok.value
-            return GautBuiltinDecl(name_tok.value, kind_tok.value, gtok.value)
-        self.expect_keyword("on")
-        gtok = self.expect_ident("graph name")
-        if gtok.value not in self.graphs:
-            raise ParseError(f"unknown graph {gtok.value!r}", gtok.line, gtok.col)
-        shape = self.graphs[gtok.value]
-        self.expect_punct("{")
-        entries: list[tuple[str, str, bool]] = []
-        mapped: set[str] = set()
-        while not self.at_punct("}"):
-            etok = self.expect_ident("edge id")
-            if etok.value not in shape.edge_ids:
-                raise ParseError(
-                    f"edge {etok.value!r} is not in graph {gtok.value!r}",
-                    etok.line, etok.col,
-                )
-            if etok.value in mapped:
-                raise ParseError(f"edge {etok.value!r} mapped twice", etok.line, etok.col)
-            mapped.add(etok.value)
-            self.expect_punct("->")
-            rev = False
-            if self.at_punct("~"):
-                self.next()
-                rev = True
-            ttok = self.expect_ident("target edge id")
-            if ttok.value not in shape.edge_ids:
-                raise ParseError(
-                    f"edge {ttok.value!r} is not in graph {gtok.value!r}",
-                    ttok.line, ttok.col,
-                )
-            entries.append((etok.value, ttok.value, rev))
-            if self.at_punct(";") or self.at_punct(","):
-                self.next()
-        self.expect_punct("}")
-        self.gauts[name_tok.value] = gtok.value
-        return GautBlockDecl(name_tok.value, gtok.value, tuple(entries))
+            graph_name, _ = self.graph_ref()
+            stmt: Statement = GautBuiltinDecl(name, kind_tok.value, graph_name)
+        else:
+            self.expect_keyword("on")
+            graph_name, graph = self.graph_ref()
+            mapped: set[str] = set()
+
+            def image() -> tuple[str, str, bool]:
+                etok = self.expect_member("edge id", "edge", graph.ends, graph_name)
+                if etok.value in mapped:
+                    raise ParseError(f"edge {etok.value!r} mapped twice", etok.line, etok.col)
+                mapped.add(etok.value)
+                self.expect_punct("->")
+                rev = self.at_punct("~")
+                if rev:
+                    self.next()
+                ttok = self.expect_member("target edge id", "edge", graph.ends, graph_name)
+                return etok.value, ttok.value, rev
+
+            stmt = GautBlockDecl(name, graph_name, self.parse_seq(image))
+        self.gauts[name] = graph_name
+        return stmt
 
     def parse_basis_decl(self) -> Statement:
         self.next()
-        name_tok = self.expect_ident("basis name")
-        self.fresh_name(name_tok.value, name_tok)
+        name = self.declare("basis name")
         self.expect_keyword("on")
-        gtok = self.expect_ident("graph name")
-        if gtok.value not in self.graphs:
-            raise ParseError(f"unknown graph {gtok.value!r}", gtok.line, gtok.col)
-        shape = self.graphs[gtok.value]
+        graph_name, graph = self.graph_ref()
         self.expect_keyword("at")
-        vtok = self.expect_ident("basepoint vertex")
-        if vtok.value not in shape.vertex_ids:
-            raise ParseError(
-                f"vertex {vtok.value!r} is not in graph {gtok.value!r}",
-                vtok.line, vtok.col,
-            )
-        self.expect_punct("{")
-        entries: list[tuple[GenRef, PathLit]] = []
+        base = self.expect_member("basepoint vertex", "vertex", graph.vertices, graph_name).value
         seen: set[int] = set()
-        while not self.at_punct("}"):
+
+        def entry() -> tuple[GenRef, PathLit]:
             ref = self.parse_genref()
             if ref.index in seen:
                 raise self.error(f"duplicate basis entry for {ref.pretty()}")
             seen.add(ref.index)
             self.expect_punct("=")
-            path = self.parse_path_lit(shape)
-            entries.append((ref, path))
-            if self.at_punct(";") or self.at_punct(","):
-                self.next()
-        self.expect_punct("}")
+            return ref, self.parse_path_lit(graph)
+
+        entries = self.parse_seq(entry)
         rank = self.require_rank()
         if len(entries) != rank:
             raise self.error(
                 f"basis has {len(entries)} entries but the rank is {rank}"
             )
-        self.bases[name_tok.value] = gtok.value
-        return BasisDecl(name_tok.value, gtok.value, vtok.value, tuple(entries))
+        self.bases[name] = graph_name
+        return BasisDecl(name, graph_name, base, entries)
 
     # assertions and checks
 
@@ -1262,72 +1285,21 @@ class Parser:
         if fn_tok.kind != "IDENT" or fn_tok.value not in _CHECK_FNS:
             raise self.error("unknown check", tuple(sorted(_CHECK_FNS)))
         self.next()
-        self.expect_punct("(")
-        args: list[int | str] = []
-        while not self.at_punct(")"):
-            tok = self.peek()
-            if tok.kind == "INT":
-                args.append(int(self.next().value))
-            elif tok.kind == "IDENT" and tok.value in self.consts:
-                args.append(self.consts[self.next().value])
-            elif tok.kind == "IDENT":
-                args.append(self.next().value)
-            else:
-                raise self.error("expected a check argument", ("integer", "name"))
-            if self.at_punct(","):
-                self.next()
-        self.expect_punct(")")
-        if len(args) != _CHECK_FNS[fn_tok.value]:
-            raise self.error(
-                f"{fn_tok.value} takes {_CHECK_FNS[fn_tok.value]} argument(s)"
-            )
+        args = self.parse_seq(
+            lambda: self.parse_value("a check argument", consts=True), "()", (",",)
+        )
+        want = _CHECK_FNS[fn_tok.value]
+        if len(args) != want:
+            raise self.error(f"{fn_tok.value} takes {want} argument(s)")
         self.expect_punct("==")
-        expected: list[int | str] = []
         if self.at_punct("["):
-            self.next()
-            while not self.at_punct("]"):
-                tok = self.peek()
-                if tok.kind == "INT":
-                    expected.append(int(self.next().value))
-                elif tok.kind == "IDENT":
-                    expected.append(self.next().value)
-                else:
-                    raise self.error("expected a value", ("integer", "name"))
-                if self.at_punct(","):
-                    self.next()
-            self.expect_punct("]")
+            expected = self.parse_seq(lambda: self.parse_value("a value"), "[]", (",",))
         else:
-            tok = self.peek()
-            if tok.kind == "INT":
-                expected.append(int(self.next().value))
-            elif tok.kind == "IDENT":
-                expected.append(self.next().value)
-            else:
-                raise self.error("expected a value", ("integer", "name"))
-        large = False
-        if self.at_keyword("large"):
+            expected = (self.parse_value("a value"),)
+        large = self.at_keyword("large")
+        if large:
             self.next()
-            large = True
-        return CheckStmt(fn_tok.value, tuple(args), tuple(expected), large)
-
-
-@dataclass(frozen=True)
-class _GraphShape:
-    """Parse-time view of a graph: just its vertex and edge id sets."""
-
-    vertex_ids: tuple[str, ...]
-    edge_ids: tuple[str, ...]
-
-
-def _ctor_shape(ctor: str, args: tuple[int, ...]) -> _GraphShape:
-    from . import graphs as g
-
-    builder = {
-        "rose": g.rose, "hairy": g.hairy, "ring": g.ring,
-        "closedchain": g.closed_chain, "openchain": g.open_chain,
-    }[ctor]
-    built = builder(*args)
-    return _GraphShape(built.vertices, tuple(e for e, _, _ in built.edges))
+        return CheckStmt(fn_tok.value, args, expected, large)
 
 
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:

@@ -97,3 +97,74 @@ class TestRealizeAndClosure:
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"op", "n", "modulus", "order", "result", "elapsed_ms"}
         assert payload["order"] == 256
+
+
+class TestInputErrors:
+    """An input error prints one line on stderr and exits 1, no traceback."""
+
+    @staticmethod
+    def one_line(capsys) -> str:
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+        return err
+
+    def test_expression_error_is_located_in_the_expression(self, capsys):
+        assert main(["compose", "--rank", "2", "L(1,3)"]) == 1
+        err = self.one_line(capsys)
+        assert "line 1, column 5" in err and "out of range for rank 2" in err
+
+    def test_word_error_is_located_in_the_word(self, capsys):
+        assert main(["apply", "--rank", "2", "P(1,2)", "x1 x3"]) == 1
+        assert "'x1 x3': line 1, column 4" in self.one_line(capsys)
+
+    def test_trailing_text_is_rejected(self, capsys):
+        assert main(["compose", "--rank", "2", "P(1,2) P(1,2)"]) == 1
+        assert "column 8" in self.one_line(capsys)
+
+    def test_abelianize_modulus_one(self, capsys):
+        assert main(["abelianize", "--rank", "2", "I(1)", "--mod", "1"]) == 1
+        assert "at least 2" in self.one_line(capsys)
+
+    def test_det_negative_modulus(self, capsys):
+        assert main(["det", "--rank", "2", "I(1)", "--mod", "-3"]) == 1
+        assert "at least 2" in self.one_line(capsys)
+
+    def test_closure_equal_indices(self, capsys):
+        assert main([
+            "closure", "--n", "2", "--mod", "2", "--k", "1", "--r", "1", "--power", "1",
+        ]) == 1
+        assert "distinct indices" in self.one_line(capsys)
+
+    def test_closure_zero_modulus(self, capsys):
+        assert main([
+            "closure", "--n", "2", "--mod", "0", "--k", "1", "--r", "2", "--power", "1",
+        ]) == 1
+        assert "--mod at least 2" in self.one_line(capsys)
+
+    def test_order_zero_cap(self, capsys):
+        assert main(["order", "--rank", "2", "--cap-power", "0", "P(1,2)"]) == 1
+        assert "caps must be positive" in self.one_line(capsys)
+
+    def test_parse_missing_file(self, capsys):
+        assert main(["parse", "/nonexistent/x.scn"]) == 1
+        assert self.one_line(capsys).startswith("/nonexistent/x.scn: ")
+
+    def test_realize_unknown_gaut_names_the_expression(self, capsys):
+        path = str(CORPUS / "conjugacy-shift-rank-four.scn")
+        assert main(["realize", path, "--gaut", "nope", "--delta", "s1", "--basis", "B"]) == 1
+        err = self.one_line(capsys)
+        assert err.startswith(f"{path}: 'induced nope delta s1 basis B': line 1, column 9: ")
+        assert "unknown graph automorphism 'nope'" in err
+
+    def test_replay_missing_directory(self, tmp_path, capsys):
+        assert main(["replay", str(tmp_path / "missing")]) == 1
+        assert "not a directory" in self.one_line(capsys)
+        assert capsys.readouterr().out == ""
+
+    def test_lint_missing_directory(self, tmp_path, capsys):
+        assert main(["lint", str(tmp_path / "missing")]) == 1
+        assert "not a directory" in self.one_line(capsys)
+
+    def test_replay_empty_directory_is_a_clean_report(self, tmp_path, capsys):
+        assert main(["replay", str(tmp_path)]) == 0
+        assert "0 records" in capsys.readouterr().out

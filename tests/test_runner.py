@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from autfn.runner import (
     bundled_anchor_list, bundled_corpus_dir, lint_scenarios, replay_all,
     run_text,
@@ -93,6 +95,13 @@ class TestReplayAll:
         assert report.records == []
         assert report.ok()
 
+    def test_missing_directory_raises(self, tmp_path):
+        with pytest.raises(NotADirectoryError):
+            replay_all(tmp_path / "missing")
+        (tmp_path / "file.scn").write_text("rank 2\n")
+        with pytest.raises(NotADirectoryError):
+            replay_all(tmp_path / "file.scn")
+
     def test_single_wrong_assertion_gives_exactly_one_failure(self, tmp_path):
         good = "# anchor: a\nscenario s1\nrank 2\nassert P(1,2) * P(1,2) == id\n"
         bad = (
@@ -136,6 +145,10 @@ class TestLint:
         for path in sorted(bundled_corpus_dir().glob("*.scn")):
             text = path.read_text()
             assert "# anchor:" in text, path.name
+
+    def test_missing_directory_raises(self, tmp_path):
+        with pytest.raises(NotADirectoryError):
+            lint_scenarios(tmp_path / "missing")
 
     def test_missing_anchor_flagged(self, tmp_path):
         (tmp_path / "x.scn").write_text("rank 2\nassert id == id\n")

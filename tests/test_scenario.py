@@ -1,8 +1,11 @@
 import re
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from autfn.endos import NAMED_KINDS
+from autfn.graphs import CONSTRUCTORS, Graph
 from autfn.runner import bundled_corpus_dir
 from autfn.scenario import KEYWORDS, PUNCT, ParseError, parse_scenario
 
@@ -120,6 +123,21 @@ aut f = induced t at v0 basis B
         assert ctor.split("(")[0] in exc.value.message
 
 
+    def test_disconnected_block_graph_is_located_at_its_name(self):
+        with pytest.raises(ParseError) as exc:
+            parse_scenario(
+                "rank 2\ngraph X { vertex v0 v1; loop l1 v0; loop l2 v1 }\n"
+                "gaut t on X { l1 -> l1 }\n"
+            )
+        assert (exc.value.line, exc.value.col) == (2, 7)
+        assert "not connected" in exc.value.message
+
+    def test_declaration_carries_its_built_graph(self):
+        s = parse_scenario("rank 2\ngraph g = rose(2)\ngraph X { vertex v0; loop l1 v0 }")
+        assert s.statements[1].graph == CONSTRUCTORS["rose"](2)
+        assert s.statements[2].graph.ends == {"l1": ("v0", "v0")}
+
+
 class TestPrettyRoundTrip:
     def test_inline_example(self):
         src = "rank 2  aut p = P(1,2)  assert p * p == id"
@@ -131,6 +149,11 @@ class TestPrettyRoundTrip:
             s = parse_scenario(path.read_text(), name=path.stem)
             reparsed = parse_scenario(s.pretty(), name=path.stem)
             assert reparsed == s, path.name
+
+
+    def test_nested_power_round_trips(self):
+        s = parse_scenario("rank 2\naut f = (P(1,2)^2)^-3")
+        assert parse_scenario(s.pretty()) == s
 
 
 class TestCheckStatements:
@@ -198,3 +221,182 @@ def test_mutated_scenarios_parse_or_raise_located_parse_error(text):
         parse_scenario(text)
     except ParseError as exc:
         assert exc.line >= 1 and exc.col >= 1
+
+
+_CHECKS = (("order", 3), ("center", 3), ("kernel", 2), ("splitting", 2), ("subreps", 1))
+
+
+@st.composite
+def generated_scenarios(draw):
+    """Scenario text from a small grammar: a rank or gens layout, constants,
+    words, automorphisms by expression and by image block, constructor and
+    block graphs with gaut and basis blocks, induced actions, every assertion
+    kind, checks with list results and ``large``, and notes."""
+
+    def pick(options):
+        return draw(st.sampled_from(list(options)))
+
+    def sep():
+        return pick(["; ", ", "])
+
+    lines = ["# anchor: generated"] + pick([[], ["scenario generated"]])
+    if draw(st.booleans()):
+        rank = draw(st.integers(1, 4))
+        lines.append(f"rank {rank}")
+        gens = [f"x{i}" for i in range(1, rank + 1)]
+    else:
+        items, gens = [], []
+        for name in draw(st.lists(st.sampled_from("abpq"), min_size=1, max_size=3, unique=True)):
+            if name in "pq":
+                items.append(name)
+                gens.append(name)
+                continue
+            dims = [(var, lo, lo + draw(st.integers(0, 1)))
+                    for var, lo in zip("ij", draw(st.lists(st.integers(-1, 1), min_size=1, max_size=2)))]
+            items.append(f"{name}[{', '.join(f'{v}={lo}..{hi}' for v, lo, hi in dims)}]")
+            gens.extend(f"{name}({', '.join(map(str, c))})"
+                        for c in product(*(range(lo, hi + 1) for _, lo, hi in dims)))
+        rank = len(gens)
+        lines.append("gens " + " ".join(items))
+    if draw(st.booleans()):
+        lines.append(f"const N = {draw(st.integers(0, 9))}")
+
+    def word():
+        if draw(st.integers(0, 4)) == 0:
+            return "e"
+        atoms = [(pick(gens), pick([1, 1, 2, -1, -3])) for _ in range(draw(st.integers(1, 3)))]
+        return " ".join(g if k == 1 else f"{g}^{k}" for g, k in atoms)
+
+    def named_map():
+        kind = pick(NAMED_KINDS if rank >= 2 else ["I"])
+        count = 1 if kind == "I" else 2
+        refs = draw(st.lists(st.integers(1, rank), min_size=count, max_size=count, unique=True))
+        args = map(str, refs) if draw(st.booleans()) else (gens[i - 1] for i in refs)
+        return f"{kind}({', '.join(args)})"
+
+    auts, graphs, gauts, bases = [], {}, {}, []
+
+    def path(graph):
+        if draw(st.integers(0, 3)) == 0:
+            return "e"
+        steps = [(pick(graph.ends), pick([1, 1, -1, 2])) for _ in range(draw(st.integers(1, 3)))]
+        return " ".join(e if k == 1 else f"{e}^{k}" for e, k in steps)
+
+    def induced():
+        t = pick(gauts)
+        graph_name = gauts[t]
+        graph = graphs[graph_name]
+        if draw(st.booleans()):
+            text = f"induced {t} at {pick(graph.vertices)}"
+        else:
+            text = f"induced {t} delta {path(graph)}"
+        on_graph = [b for b, g in bases if g == graph_name]
+        if on_graph and draw(st.booleans()):
+            text += f" basis {pick(on_graph)}"
+        return text
+
+    def aut(depth=2):
+        choice = draw(st.integers(0, 5 if depth else 2))
+        if choice == 2 and auts:
+            return pick(auts)
+        if choice == 0:
+            return "id"
+        if choice == 3:
+            return f"({aut(depth - 1)})^{draw(st.integers(-2, 2))}"
+        if choice == 4:
+            return " * ".join(aut(depth - 1) for _ in range(draw(st.integers(2, 3))))
+        if choice == 5 and gauts:
+            return f"({induced()})"
+        return named_map()
+
+    for i in range(draw(st.integers(0, 2))):
+        lines.append(f"word w{i} = {word()}")
+    for i in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            lines.append(f"aut f{i} = {aut()}")
+        else:
+            images = draw(st.lists(st.sampled_from(gens), unique=True, max_size=rank))
+            lines.append(f"aut f{i} {{ " + "".join(f"{g} -> {word()}{sep()}" for g in images) + "}")
+        auts.append(f"f{i}")
+    for i in range(draw(st.integers(0, 2))):
+        name = f"G{i}"
+        if draw(st.booleans()):
+            ctor = pick(sorted(CONSTRUCTORS))
+            args = [draw(st.integers(1, 3)) for _ in range(CONSTRUCTORS[ctor].__code__.co_argcount)]
+            lines.append(f"graph {name} = {ctor}({', '.join(map(str, args))})")
+            graph = CONSTRUCTORS[ctor](*args)
+        else:
+            vs = [f"v{k}" for k in range(draw(st.integers(1, 3)))]
+            edges = [(f"d{k}", vs[k - 1], vs[k]) for k in range(1, len(vs))]
+            edges += [(f"o{k}", pick(vs), pick(vs)) for k in range(draw(st.integers(1, 2)))]
+            parts = [f"vertex {' '.join(vs)}"] + [
+                f"loop {e} {s}" if s == d and draw(st.booleans()) else f"edge {e} {s} {d}"
+                for e, s, d in edges
+            ]
+            lines.append(f"graph {name} {{ " + "; ".join(parts) + " }")
+            graph = Graph(tuple(vs), tuple(edges))
+        graphs[name] = graph
+        t = f"t{i}"
+        if draw(st.booleans()):
+            lines.append(f"gaut {t} = {pick(['rotation', 'pairswap'])} on {name}")
+        else:
+            sources = draw(st.lists(st.sampled_from(sorted(graph.ends)), unique=True))
+            body = "".join(
+                f"{e} -> {'~' if draw(st.booleans()) else ''}{pick(graph.ends)}{sep()}"
+                for e in sources
+            )
+            lines.append(f"gaut {t} on {name} {{ {body}}}")
+        gauts[t] = name
+        if draw(st.booleans()):
+            body = "".join(f"{g} = {path(graph)}{sep()}" for g in draw(st.permutations(gens)))
+            lines.append(f"basis B{i} on {name} at {pick(graph.vertices)} {{ {body}}}")
+            bases.append((f"B{i}", name))
+    if gauts:
+        lines.append(f"aut h = {induced()}")
+        auts.append("h")
+
+    def matrix():
+        form = draw(st.integers(0, 3))
+        if form == 3 and rank >= 2:
+            k, r = draw(st.lists(st.integers(1, rank), min_size=2, max_size=2, unique=True))
+            power = pick(["", "^2", "^-1"])
+            return f"elementary({k}, {r}){power}"
+        if form == 2:
+            rows = [[draw(st.integers(-2, 2)) for _ in range(rank)] for _ in range(rank)]
+            return "[" + "; ".join(" ".join(map(str, row)) for row in rows) + "]"
+        return pick(["id", "-id"])
+
+    op = lambda: pick(["==", "!="])  # noqa: E731
+    forms = [
+        lambda: f"{aut()} {op()} {aut()}",
+        lambda: f"{aut()} ~ {aut()}",
+        lambda: f"{pick(['order', 'outorder'])} {aut()} {op()} "
+                f"{pick(['unbounded', '1', '2', '6'])}",
+        lambda: f"det {aut()} == {pick(['1', '-1'])}",
+        lambda: f"matrix {aut()}{pick(['', ' mod 2', ' mod 3'])} {op()} {matrix()}",
+        lambda: f"level {draw(st.integers(2, 4))} {aut()}",
+        lambda: f"torelli {aut()}",
+        lambda: f"inner {aut()}" + pick(["", f" witness {word()}"]),
+        lambda: f"not inner {aut()}",
+        lambda: f"{aut()} fixes {word()}",
+        lambda: f"{aut()} maps {word()} -> {word()}",
+    ]
+    for form in draw(st.lists(st.sampled_from(forms), min_size=1, max_size=6)):
+        lines.append(f"assert {form()}")
+    names = ["sl", "psl"] + (["N"] if any(l.startswith("const") for l in lines) else [])
+    for _ in range(draw(st.integers(0, 2))):
+        fn, arity = pick(_CHECKS)
+        args = ", ".join(str(pick(names + [2, 3])) for _ in range(arity))
+        values = [pick(["true", "found", "7", "scalars"]) for _ in range(draw(st.integers(1, 3)))]
+        expected = values[0] if len(values) == 1 else f"[{', '.join(values)}]"
+        lines.append(f"check {fn}({args}) == {expected}" + pick(["", " large"]))
+    if draw(st.booleans()):
+        lines.append('note "generated"')
+    return "\n".join(lines) + "\n"
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(generated_scenarios())
+def test_generated_scenarios_round_trip(text):
+    s = parse_scenario(text)
+    assert parse_scenario(s.pretty()) == s
