@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 from . import modgroups
-from .endos import is_inner, order as endo_order
+from .endos import is_inner
 from .matrices import abelianize, det as int_det, mod_reduce
 from .runner import Evaluator, lint_scenarios, replay_all, run_scenario
 from .scenario import Assertion, CheckStmt, ParseError, Parser, parse_scenario
@@ -92,8 +92,9 @@ def cmd_apply(args: argparse.Namespace) -> int:
 
 
 def cmd_order(args: argparse.Namespace) -> int:
-    endo = _expr(args)
-    result = endo_order(endo, max_power=args.cap_power, max_word_len=args.cap_len)
+    parser, ev = _at_rank(args.rank)
+    expr = _fragment(parser, args.expr, parser.parse_aut_expr)
+    result = ev.order_of(expr, max_power=args.cap_power, max_word_len=args.cap_len)
     print("unbounded (cap reached)" if result is None else result)
     return 0
 
@@ -131,7 +132,7 @@ def cmd_realize(args: argparse.Namespace) -> int:
     parser = Parser(Path(args.file).read_text())
     scenario = parser.parse(default_name=Path(args.file).stem)
     text = f"induced {args.gaut} "
-    text += f"at {args.at}" if args.at else f"delta {args.delta}"
+    text += f"at {args.at}" if args.at is not None else f"delta {args.delta}"
     if args.basis:
         text += f" basis {args.basis}"
     expr = _fragment(parser, text, parser.parse_aut_expr)
@@ -214,8 +215,9 @@ def main(argv: "list[str] | None" = None) -> int:
     p = sub.add_parser("realize", help="print the action induced by a graph automorphism")
     p.add_argument("file", help="scenario file defining the graph and automorphism")
     p.add_argument("--gaut", required=True)
-    p.add_argument("--at", default=None, help="basepoint vertex (basepoint-fixing case)")
-    p.add_argument("--delta", default=None, help="connecting edge path")
+    base = p.add_mutually_exclusive_group(required=True)
+    base.add_argument("--at", help="basepoint vertex (basepoint-fixing case)")
+    base.add_argument("--delta", help="connecting edge path")
     p.add_argument("--basis", default=None)
     p.set_defaults(func=cmd_realize)
 
@@ -228,8 +230,6 @@ def main(argv: "list[str] | None" = None) -> int:
     p.set_defaults(func=cmd_closure)
 
     args = parser.parse_args(argv)
-    if getattr(args, "at", None) is None and getattr(args, "delta", "x") is None:
-        parser.error("realize needs --at or --delta")
     try:
         return args.func(args)
     except (ParseError, ValueError, OSError) as exc:

@@ -75,7 +75,7 @@ class Endomorphism:
                     out.pop()
                 else:
                     out.append(x)
-        return Word(self.rank, tuple(out))
+        return Word._reduced(self.rank, tuple(out))
 
     def __mul__(self, other: "Endomorphism") -> "Endomorphism":
         return compose(self, other)
@@ -146,12 +146,15 @@ def compose(f: Endomorphism, g: Endomorphism) -> Endomorphism:
     return Endomorphism(f.rank, tuple(f.apply(w) for w in g.images))
 
 
-def order(
+def power_order(
     f: Endomorphism,
+    outer: bool = False,
     max_power: int = DEFAULT_MAX_POWER,
     max_word_len: int = DEFAULT_MAX_LEN,
-) -> Optional[int]:
-    """Smallest k >= 1 with f^k the identity, or None once either cap trips.
+) -> tuple[Optional[int], bool]:
+    """Smallest k >= 1 with f^k the identity (inner, when ``outer``), or None
+    once a cap trips; the flag is True when the letter cap ended the loop,
+    False when k was found or the power cap ended it.
 
     The caps turn infinite-order inputs into a reported outcome instead of
     unbounded growth.
@@ -160,12 +163,21 @@ def order(
         raise ValueError("caps must be positive")
     h = f
     for k in range(1, max_power + 1):
-        if h.is_identity():
-            return k
+        if (is_inner(h) is not None) if outer else h.is_identity():
+            return k, False
         if h.max_image_length() > max_word_len:
-            return None
+            return None, True
         h = compose(f, h)
-    return None
+    return None, False
+
+
+def order(
+    f: Endomorphism,
+    max_power: int = DEFAULT_MAX_POWER,
+    max_word_len: int = DEFAULT_MAX_LEN,
+) -> Optional[int]:
+    """Smallest k >= 1 with f^k the identity, or None once either cap trips."""
+    return power_order(f, False, max_power, max_word_len)[0]
 
 
 def is_inner(f: Endomorphism) -> Optional[Word]:
@@ -211,16 +223,7 @@ def out_order(
     max_word_len: int = DEFAULT_MAX_LEN,
 ) -> Optional[int]:
     """Smallest k >= 1 with f^k inner, or None once either cap trips."""
-    if max_power < 1 or max_word_len < 1:
-        raise ValueError("caps must be positive")
-    h = f
-    for k in range(1, max_power + 1):
-        if is_inner(h) is not None:
-            return k
-        if h.max_image_length() > max_word_len:
-            return None
-        h = compose(f, h)
-    return None
+    return power_order(f, True, max_power, max_word_len)[0]
 
 
 def equal_up_to_inner(f: Endomorphism, g: Endomorphism) -> Optional[Word]:
@@ -251,17 +254,26 @@ def _half_key(letters: Sequence[int]) -> tuple[int, ...]:
     return tuple(2 * a if a > 0 else -2 * a + 1 for a in letters)
 
 
-def _pair_key(w: Word) -> tuple:
+def _pair_key(letters: tuple[int, ...]) -> tuple:
     """Lyndon-Schupp well-order on the pair {w, w^-1}: length, then the
     smaller and then the larger of the left halves (first ceil(|w|/2)
     letters) of w and w^-1."""
-    letters = w.letters
     half = (len(letters) + 1) // 2
     left = _half_key(letters[:half])
     left_inv = _half_key([-a for a in letters[: -half - 1 : -1]]) if half else ()
     if left_inv < left:
         left, left_inv = left_inv, left
     return (len(letters), left, left_inv)
+
+
+def _common_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """Length of the common prefix of a and b: with a = x^-1, the letters
+    that cancel in the product x * b."""
+    n = min(len(a), len(b))
+    c = 0
+    while c < n and a[c] == b[c]:
+        c += 1
+    return c
 
 
 def nielsen_reduce(
@@ -276,8 +288,15 @@ def nielsen_reduce(
     (Lyndon-Schupp, *Combinatorial Group Theory*, Prop. I.2.2), so a basis
     always ends as a signed permutation of the generators; a length-only or
     whole-word tie-break can stall short of that.  Every step strictly lowers
-    one entry in a well-order, so the pass terminates; ties in the move
-    choice break on (i, j, side, sign) for determinism.
+    one entry in a well-order, so the pass terminates; among the moves that
+    lower their entry, the choice minimizes (length change, new key,
+    (side, i, j, sign)) for determinism.
+
+    A move's length change is |u_j| - 2c, with c the letters that cancel at
+    the seam, so it is read off the letter tuples before any word is built.
+    Only the moves with the least change are built and keyed: each of them
+    lowers its entry when that change is negative, and is keyed against it
+    when the change is zero.
     """
     if not words:
         raise ValueError("need a nonempty tuple of words")
@@ -286,42 +305,58 @@ def nielsen_reduce(
         if w.rank != rank:
             raise RankMismatchError("mixed ranks in tuple")
 
-    tup = list(words)
+    tup = [w.letters for w in words]
+    inv = [tuple(-a for a in reversed(u)) for u in tup]
+    slots = range(len(tup))
     log: list[NielsenMove] = []
     while True:
-        best_key: tuple | None = None
-        best_move: NielsenMove | None = None
-        best_word: Word | None = None
-        for i in range(len(tup)):
-            current = _pair_key(tup[i])
-            for j in range(len(tup)):
+        # (move, c) for the moves of least length change, when that is <= 0.
+        least = 0
+        group: list[tuple[NielsenMove, int]] = []
+        for i in slots:
+            u, ui = tup[i], inv[i]
+            for j in slots:
                 if i == j:
                     continue
-                for side in ("L", "R"):
-                    for sign in (1, -1):
-                        factor = tup[j] if sign > 0 else invert(tup[j])
-                        cand = (
-                            multiply(factor, tup[i])
-                            if side == "L"
-                            else multiply(tup[i], factor)
-                        )
-                        if len(cand) > current[0]:
-                            continue
-                        cand_key = _pair_key(cand)
-                        if cand_key >= current:
-                            continue
-                        move = (side, i, j, sign)
-                        key = (cand_key[0] - current[0], cand_key, move)
-                        if best_key is None or key < best_key:
-                            best_key = key
-                            best_move = move
-                            best_word = cand
-        if best_move is None:
+                v, vi = tup[j], inv[j]
+                # A change <= least needs c >= need; test letter need-1 first.
+                need = (len(v) - least + 1) // 2
+                if need > len(u) or need > len(v):
+                    continue
+                k = need - 1
+                # (x^-1, y) for the product x * y that each move forms.
+                for move, a, b in (
+                    (("L", i, j, 1), vi, u),
+                    (("L", i, j, -1), v, u),
+                    (("R", i, j, 1), ui, v),
+                    (("R", i, j, -1), ui, vi),
+                ):
+                    if k >= 0 and a[k] != b[k]:
+                        continue
+                    c = _common_prefix(a, b)
+                    delta = len(v) - 2 * c
+                    if delta < least:
+                        least = delta
+                        group = [(move, c)]
+                    elif delta == least:
+                        group.append((move, c))
+        best: tuple | None = None
+        for move, c in group:
+            side, i, j, sign = move
+            u, v = tup[i], tup[j] if sign > 0 else inv[j]
+            cand = v[: len(v) - c] + u[c:] if side == "L" else u[: len(u) - c] + v[c:]
+            cand_key = _pair_key(cand)
+            if least == 0 and cand_key >= _pair_key(u):
+                continue
+            if best is None or (cand_key, move) < best[:2]:
+                best = (cand_key, move, cand)
+        if best is None:
             break
-        assert best_word is not None
-        tup[best_move[1]] = best_word
-        log.append(best_move)
-    return tuple(tup), log
+        _, move, cand = best
+        tup[move[1]] = cand
+        inv[move[1]] = tuple(-a for a in reversed(cand))
+        log.append(move)
+    return tuple(Word._reduced(rank, u) for u in tup), log
 
 
 def _is_signed_permutation(words: Sequence[Word]) -> Optional[list[int]]:
@@ -362,9 +397,11 @@ def change_basis(f: Endomorphism, basis: Sequence[Word]) -> Endomorphism:
     if len(basis) != f.rank:
         raise NotABasisError(f"expected {f.rank} basis words, got {len(basis)}")
     beta = Endomorphism(f.rank, tuple(basis))
-    if not is_basis(beta.images):
-        raise NotABasisError("words do not form a free basis")
-    return compose(invert_automorphism(beta), compose(f, beta))
+    try:
+        beta_inv = invert_automorphism(beta)
+    except NotABasisError:
+        raise NotABasisError("words do not form a free basis") from None
+    return compose(beta_inv, compose(f, beta))
 
 
 def invert_automorphism(f: Endomorphism) -> Endomorphism:

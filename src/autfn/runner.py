@@ -17,8 +17,9 @@ from typing import Optional
 
 from . import modgroups
 from .endos import (
-    Endomorphism, change_basis, equal_up_to_inner, is_inner, named, order,
-    out_order,
+    DEFAULT_MAX_LEN, DEFAULT_MAX_POWER, Endomorphism, change_basis,
+    equal_up_to_inner, invert_automorphism, is_inner, named, order, out_order,
+    power_order,
 )
 from .graphs import (
     EdgePath, EdgeStep, Graph, GraphAut, induced_endo, induced_out_rep,
@@ -96,6 +97,14 @@ class _DefinitionError(Exception):
     """A definition failed; dependents report this as their cause."""
 
 
+def _product(values: list[Endomorphism]) -> Endomorphism:
+    """The written product of evaluated factors, folded from the left."""
+    out = values[0]
+    for f in values[1:]:
+        out = out * f
+    return out
+
+
 class Evaluator:
     def __init__(self, scenario: Scenario, include_large: bool = False):
         self.scenario = scenario
@@ -107,6 +116,8 @@ class Evaluator:
         self.graphs: dict[str, Graph] = {}
         self.gauts: dict[str, GraphAut] = {}
         self.bases: dict[str, BasisDecl] = {}
+        # Each automorphism inverted in this scenario, keyed both ways.
+        self.inverses: dict[Endomorphism, Endomorphism] = {}
         self.failed_defs: dict[str, str] = {}
         self.records: list[Record] = []
 
@@ -140,15 +151,53 @@ class Evaluator:
         if isinstance(expr, AutNamedGen):
             return named(expr.kind, *(a.index for a in expr.args), rank=self.rank)
         if isinstance(expr, AutPow):
-            return self.aut_of(expr.base) ** expr.exp
+            base = self.aut_of(expr.base)
+            return (base if expr.exp >= 0 else self.inverse(base)) ** abs(expr.exp)
         if isinstance(expr, AutProd):
-            out = self.aut_of(expr.factors[0])
-            for f in expr.factors[1:]:
-                out = out * self.aut_of(f)
-            return out
+            return _product([self.aut_of(f) for f in expr.factors])
         if isinstance(expr, AutInduced):
             return self.eval_induced(expr)
         raise AssertionError(f"unhandled expression {expr!r}")
+
+    def inverse(self, f: Endomorphism) -> Endomorphism:
+        """``invert_automorphism(f)``, computed once per map in a scenario."""
+        inv = self.inverses.get(f)
+        if inv is None:
+            inv = invert_automorphism(f)
+            self.inverses[f] = inv
+            self.inverses[inv] = f
+        return inv
+
+    def order_of(
+        self,
+        expr: AutExpr,
+        outer: bool = False,
+        max_power: int = DEFAULT_MAX_POWER,
+        max_word_len: int = DEFAULT_MAX_LEN,
+    ) -> Optional[int]:
+        """``order`` (``out_order`` when ``outer``) of an expression's value.
+
+        For a literal conjugate ``a * ... * a^-1`` or ``a^-1 * ... * a``, every
+        factor is evaluated as for the whole product, then the power loop runs
+        on the middle product h.  Order, and innerness of a power, are
+        conjugacy invariants, so when h's loop ends on a found k or on the
+        power cap, its answer is the whole product's.  When it ends on the
+        letter cap, the loop runs on the whole product instead.
+        """
+        factors = expr.factors if isinstance(expr, AutProd) else ()
+        if len(factors) > 2 and (
+            factors[-1] == AutPow(factors[0], -1) or factors[0] == AutPow(factors[-1], -1)
+        ):
+            values = [self.aut_of(f) for f in factors]
+            got, letter_cap = power_order(
+                _product(values[1:-1]), outer, max_power, max_word_len
+            )
+            if not letter_cap:
+                return got
+            whole = _product(values)
+        else:
+            whole = self.aut_of(expr)
+        return (out_order if outer else order)(whole, max_power, max_word_len)
 
     def eval_induced(self, expr: AutInduced) -> Endomorphism:
         if expr.gaut in self.failed_defs:
@@ -295,6 +344,13 @@ class Evaluator:
             return Record(name, text, PASS if ok else FAIL, detail, anchor)
 
         k = stmt.kind
+        if k in ("order", "outorder"):
+            got = self.order_of(stmt.lhs, outer=k == "outorder")
+            want = stmt.number
+            same = got == want
+            ok = (not same) if stmt.negated else same
+            shown = "unbounded(cap)" if got is None else str(got)
+            return verdict(ok, f"computed {shown}")
         f = self.aut_of(stmt.lhs)
         if k == "exact":
             g = self.aut_of(stmt.rhs)
@@ -310,13 +366,6 @@ class Evaluator:
                 f"conjugator {format_word(witness, self.layout.names())}"
                 if witness is not None else f"lhs: {f}; rhs: {g}",
             )
-        if k in ("order", "outorder"):
-            got = order(f) if k == "order" else out_order(f)
-            want = stmt.number
-            same = got == want
-            ok = (not same) if stmt.negated else same
-            shown = "unbounded(cap)" if got is None else str(got)
-            return verdict(ok, f"computed {shown}")
         if k == "det":
             value = det(abelianize(f))
             return verdict(value == stmt.number, f"computed {value}")

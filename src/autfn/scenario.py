@@ -67,6 +67,10 @@ class Token:
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*")
 _INT_RE = re.compile(r"-?\d+")
 _ANCHOR_RE = re.compile(r"#\s*anchor:\s*(.+?)\s*$")
+# Longest first, so "->" is one token and not "-" then ">".
+_PUNCT_RE = re.compile(
+    "|".join(re.escape(p) for p in sorted(PUNCT, key=len, reverse=True))
+)
 
 
 def lex(text: str) -> tuple[list[Token], list[str]]:
@@ -126,14 +130,13 @@ def lex(text: str) -> tuple[list[Token], list[str]]:
             col += m2.end() - i
             i = m2.end()
             continue
-        for p in PUNCT:
-            if text.startswith(p, i):
-                tokens.append(Token("PUNCT", p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
+        m2 = _PUNCT_RE.match(text, i)
+        if m2 is None:
             raise ParseError(f"unexpected character {ch!r}", line, col)
+        p = m2.group()
+        tokens.append(Token("PUNCT", p, line, col))
+        i += len(p)
+        col += len(p)
     tokens.append(Token("EOF", "", line, col))
     return tokens, anchors
 

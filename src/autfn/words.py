@@ -46,6 +46,16 @@ class Word:
                 raise ValueError("word is not freely reduced")
             prev = a
 
+    @classmethod
+    def _reduced(cls, rank: int, letters: tuple[int, ...]) -> "Word":
+        """A word from letters that are reduced and in range by construction,
+        skipping the checks of ``__post_init__``; for internal results only,
+        while input from outside goes through the checked constructor."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "rank", rank)
+        object.__setattr__(w, "letters", letters)
+        return w
+
     @staticmethod
     def identity(rank: int) -> "Word":
         return Word(rank, ())
@@ -123,11 +133,11 @@ def multiply(a: Word, b: Word) -> Word:
     while left and i < len(bl) and left[-1] == -bl[i]:
         left.pop()
         i += 1
-    return Word(a.rank, tuple(left) + bl[i:])
+    return Word._reduced(a.rank, tuple(left) + bl[i:])
 
 
 def invert(w: Word) -> Word:
-    return Word(w.rank, tuple(-a for a in reversed(w.letters)))
+    return Word._reduced(w.rank, tuple(-a for a in reversed(w.letters)))
 
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
@@ -138,7 +148,7 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     while hi - lo >= 2 and letters[lo] == -letters[hi - 1]:
         lo += 1
         hi -= 1
-    return Word(w.rank, letters[lo:hi]), Word(w.rank, letters[:lo])
+    return Word._reduced(w.rank, letters[lo:hi]), Word._reduced(w.rank, letters[:lo])
 
 
 _ATOM_RE = re.compile(r"^x(\d+)(?:\^(-?\d+))?$")

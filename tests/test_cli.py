@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from autfn.cli import main
 from autfn.runner import bundled_corpus_dir
 
@@ -62,6 +64,15 @@ class TestExpressionCommands:
         assert main(["order", "--rank", "3", "--cap-power", "8", "C(1,2)"]) == 0
         assert "unbounded" in capsys.readouterr().out
 
+    def test_order_of_a_literal_conjugate_runs_on_its_middle(self, capsys):
+        # Under --cap-len 4 the loop on the whole product trips the letter
+        # cap, while the middle P(1,2) has order 2 well within both caps.
+        g = "(L(1,2) * R(1,3) * C(2,3))"
+        for text, want in ((f"({g} * P(1,2)) * {g}^-1", "unbounded (cap reached)"),
+                           (f"{g} * P(1,2) * {g}^-1", "2")):
+            assert main(["order", "--rank", "3", "--cap-len", "4", text]) == 0
+            assert capsys.readouterr().out.strip() == want
+
     def test_inner_exit_codes(self, capsys):
         assert main(["inner", "--rank", "3", "C(1,2) * C(2,1)"]) == 1
         assert main(["inner", "--rank", "1", "id"]) == 0
@@ -88,6 +99,16 @@ class TestRealizeAndClosure:
         out = capsys.readouterr().out
         assert "x1 -> x2" in out
         assert "x4 x1 x4^-1" in out
+
+    def test_realize_takes_exactly_one_of_at_and_delta(self, capsys):
+        path = str(CORPUS / "conjugacy-shift-rank-four.scn")
+        for base in (["--at", "v0", "--delta", "s1"], []):
+            with pytest.raises(SystemExit) as exc:
+                main(["realize", path, "--gaut", "rot", *base, "--basis", "B"])
+            assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --delta: not allowed with argument --at" in err
+        assert "one of the arguments --at --delta is required" in err
 
     def test_closure_json_schema(self, capsys):
         assert main([
@@ -155,6 +176,11 @@ class TestInputErrors:
         err = self.one_line(capsys)
         assert err.startswith(f"{path}: 'induced nope delta s1 basis B': line 1, column 9: ")
         assert "unknown graph automorphism 'nope'" in err
+
+    def test_realize_empty_basepoint_is_quoted_as_given(self, capsys):
+        path = str(CORPUS / "conjugacy-shift-rank-four.scn")
+        assert main(["realize", path, "--gaut", "rot", "--at", ""]) == 1
+        assert self.one_line(capsys).startswith(f"{path}: 'induced rot at ': ")
 
     def test_replay_missing_directory(self, tmp_path, capsys):
         assert main(["replay", str(tmp_path / "missing")]) == 1

@@ -9,7 +9,7 @@ from autfn.endos import (
     equal_up_to_inner, invert_automorphism, is_basis, is_inner, named,
     nielsen_reduce, order, out_order,
 )
-from autfn.words import Word, parse_word
+from autfn.words import Word, free_reduce, invert, multiply, parse_word
 
 
 def W(text, rank):
@@ -426,8 +426,25 @@ class TestChangeBasis:
         assert change_basis(G4, basis) == compose(p, compose(G4, p))
 
     def test_rejects_non_basis(self):
-        with pytest.raises(NotABasisError):
+        with pytest.raises(NotABasisError, match="^words do not form a free basis$"):
             change_basis(G4, [W("x1", 4), W("x1", 4), W("x3", 4), W("x4", 4)])
+
+    def test_one_nielsen_pass(self, monkeypatch):
+        import autfn.endos as endos_module
+
+        basis = [W("x1 x2", 4), W("x2", 4), W("x3 x1^-1", 4), W("x4", 4)]
+        beta = Endomorphism.from_images(basis)
+        expected = compose(invert_automorphism(beta), compose(G4, beta))
+        calls = []
+        original = endos_module.nielsen_reduce
+
+        def counted(words):
+            calls.append(words)
+            return original(words)
+
+        monkeypatch.setattr(endos_module, "nielsen_reduce", counted)
+        assert change_basis(G4, basis) == expected
+        assert len(calls) == 1
 
 
 def _named_product(text, rank):
@@ -561,3 +578,90 @@ def test_apply_respects_multiplication(parts):
     a, b = W("x1 x2^-1 x3", 3), W("x3^-1 x2", 3)
     assert f.apply(a * b) == f.apply(a) * f.apply(b)
     assert compose(invert_automorphism(f), f).is_identity()
+
+
+def _reference_pair_key(w):
+    """The Lyndon-Schupp pair key of ``nielsen_reduce``, kept here unchanged."""
+    letters = w.letters
+    half = (len(letters) + 1) // 2
+
+    def half_key(seq):
+        return tuple(2 * a if a > 0 else -2 * a + 1 for a in seq)
+
+    left = half_key(letters[:half])
+    left_inv = half_key([-a for a in letters[: -half - 1 : -1]]) if half else ()
+    if left_inv < left:
+        left, left_inv = left_inv, left
+    return (len(letters), left, left_inv)
+
+
+def _reference_nielsen_reduce(words):
+    """Reference for :func:`nielsen_reduce`: builds and keys every one of the
+    4n(n-1) candidate words on each step, then takes the least
+    (length change, key, move) among the moves that lower their entry."""
+    tup = list(words)
+    log = []
+    while True:
+        best_key = best_move = best_word = None
+        for i in range(len(tup)):
+            current = _reference_pair_key(tup[i])
+            for j in range(len(tup)):
+                if i == j:
+                    continue
+                for side in ("L", "R"):
+                    for sign in (1, -1):
+                        factor = tup[j] if sign > 0 else invert(tup[j])
+                        cand = (
+                            multiply(factor, tup[i])
+                            if side == "L"
+                            else multiply(tup[i], factor)
+                        )
+                        if len(cand) > current[0]:
+                            continue
+                        cand_key = _reference_pair_key(cand)
+                        if cand_key >= current:
+                            continue
+                        move = (side, i, j, sign)
+                        key = (cand_key[0] - current[0], cand_key, move)
+                        if best_key is None or key < best_key:
+                            best_key, best_move, best_word = key, move, cand
+        if best_move is None:
+            break
+        tup[best_move[1]] = best_word
+        log.append(best_move)
+    return tuple(tup), log
+
+
+@st.composite
+def _nielsen_inputs(draw):
+    """Products of 10-40 named maps at ranks 2-6, the same with one image
+    squared (not a basis), and random short tuples."""
+    rank = draw(st.integers(2, 6))
+    form = draw(st.sampled_from(("product", "squared", "random")))
+    if form == "random":
+        letter = st.integers(-rank, rank).filter(bool)
+        return [
+            Word(rank, free_reduce(draw(st.lists(letter, max_size=8))))
+            for _ in range(rank)
+        ]
+    index = st.integers(1, rank)
+    f = Endomorphism.identity(rank)
+    for _ in range(draw(st.integers(10, 40))):
+        kind = draw(st.sampled_from("LRCPI"))
+        i = draw(index)
+        if kind == "I":
+            f = compose(f, named("I", i, rank=rank))
+        else:
+            j = draw(index.filter(lambda j: j != i))
+            f = compose(f, named(kind, i, j, rank=rank))
+    images = list(f.images)
+    if form == "squared":
+        k = draw(st.integers(0, rank - 1))
+        images[k] = images[k] * images[k]
+    return images
+
+
+@given(_nielsen_inputs())
+@settings(deadline=None, max_examples=150)
+def test_nielsen_reduce_matches_the_reference(words):
+    assert nielsen_reduce(words) == _reference_nielsen_reduce(words)

@@ -1,12 +1,16 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from autfn import endos
 from autfn.runner import (
-    bundled_anchor_list, bundled_corpus_dir, lint_scenarios, replay_all,
-    run_text,
+    Evaluator, bundled_anchor_list, bundled_corpus_dir, lint_scenarios,
+    replay_all, run_text,
 )
+from autfn.scenario import Parser
 
 
 def _golden(name):
@@ -70,6 +74,119 @@ class TestRunOutcomes:
                 "anchor": "",
             }
         ]
+
+
+def _random_product(seed, rank=4, count=40):
+    """Text of a product of ``count`` random named maps."""
+    rng = random.Random(seed)
+    parts = []
+    for _ in range(count):
+        kind = rng.choice("LRCPI")
+        i, j = rng.sample(range(1, rank + 1), 2)
+        parts.append(f"I({i})" if kind == "I" else f"{kind}({i},{j})")
+    return " * ".join(parts)
+
+
+def _rose4(g):
+    return (
+        f"rank 4\naut g = {g}\n"
+        "graph X = rose(4)\ngaut rot = rotation on X\naut f = induced rot at v0\n"
+    )
+
+
+class TestInverses:
+    def test_each_map_is_inverted_once(self, monkeypatch):
+        calls = []
+        original = endos.nielsen_reduce
+
+        def counted(words):
+            calls.append(words)
+            return original(words)
+
+        monkeypatch.setattr(endos, "nielsen_reduce", counted)
+        report = run_text(
+            "rank 3\naut g = L(1,2) * C(3,1) * R(2,3)\n"
+            "assert g^-1 * g == id\n"
+            "assert g * g^-1 == id\n"
+            "assert g^-2 * g^2 == id\n"
+            "assert (g^-1)^-1 == g\n"
+        )
+        assert report.ok(), report.human()
+        assert len(calls) == 1
+
+
+class TestConjugateOrder:
+    """``order`` and ``outorder`` of a literal conjugate run on its middle."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_forty_factor_conjugate_of_a_swap(self, seed):
+        # The whole product's images pass the 4096-letter cap before its
+        # square is reached, so the loop on it reads unbounded(cap).
+        report = run_text(
+            _rose4(_random_product(seed))
+            + "assert order g * P(1,2) * g^-1 == 2\n"
+            "assert order g^-1 * P(1,2) * g == 2\n"
+            "assert outorder g * f * g^-1 == 4\n"
+        )
+        assert [(r.status, r.detail) for r in report.records] == [
+            ("pass", "computed 2"), ("pass", "computed 2"), ("pass", "computed 4"),
+        ]
+
+    def test_infinite_order_conjugate_still_reads_the_cap(self):
+        report = run_text(
+            _rose4(_random_product(1)) + "assert order g * L(1,2) * g^-1 == unbounded\n"
+        )
+        assert report.records[0].status == "pass"
+        assert report.records[0].detail == "computed unbounded(cap)"
+
+    def test_letter_cap_on_the_middle_falls_back_to_the_whole_product(self):
+        # m's images pass the letter cap, while g^-1 * m * g is P(1,2).
+        report = run_text(
+            _rose4(_random_product(1))
+            + "aut m = g * P(1,2) * g^-1\n"
+            "assert order m == 2\n"
+            "assert order g^-1 * m * g == 2\n"
+        )
+        assert [(r.status, r.detail) for r in report.records] == [
+            ("fail", "computed unbounded(cap)"), ("pass", "computed 2"),
+        ]
+
+    def test_non_automorphism_conjugator_is_the_same_error(self):
+        report = run_text(
+            "rank 4\naut g { x1 -> x1^2 }\n"
+            "assert order g * P(1,2) * g^-1 == 2\n"
+            "assert order g^-1 * P(1,2) * g == 2\n"
+            "assert outorder g * P(1,2) * g^-1 == 2\n"
+        )
+        assert {(r.status, r.detail) for r in report.records} == {
+            ("error", "NotABasisError: images do not form a free basis"),
+        }
+
+
+_NAMED = st.sampled_from(
+    ["L(1,2)", "R(2,3)", "C(3,1)", "P(1,2)", "P(2,3)", "I(1)", "I(3)", "L(3,2)"]
+)
+
+
+@given(
+    st.lists(_NAMED, min_size=1, max_size=5),
+    st.lists(_NAMED, min_size=1, max_size=4),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(deadline=None, max_examples=120)
+def test_conjugate_rule_agrees_with_the_whole_product(g, h, inverse_first, outer):
+    """Wherever the capped loop on the whole product ends on a found k, the
+    rule gives the same k."""
+    parser = Parser(f"rank 3\naut g = {' * '.join(g)}\naut h = {' * '.join(h)}\n")
+    ev = Evaluator(parser.parse())
+    ev.run()
+    text = "g^-1 * h * g" if inverse_first else "g * h * g^-1"
+    expr = parser.parse_fragment(text, parser.parse_aut_expr)
+    caps = dict(max_power=12, max_word_len=60)
+    whole = (endos.out_order if outer else endos.order)(ev.aut_of(expr), **caps)
+    if whole is not None:
+        assert ev.order_of(expr, outer, **caps) == whole
 
 
 class TestReplayAll:
