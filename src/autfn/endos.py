@@ -81,9 +81,11 @@ class Endomorphism:
         return compose(self, other)
 
     def __pow__(self, n: int) -> "Endomorphism":
-        base = self if n >= 0 else invert_automorphism(self)
-        out = Endomorphism.identity(self.rank)
-        for _ in range(abs(n)):
+        """f^n by |n| - 1 compositions starting from f (or f^-1 when n < 0)."""
+        if n == 0:
+            return Endomorphism.identity(self.rank)
+        out = base = self if n > 0 else invert_automorphism(self)
+        for _ in range(abs(n) - 1):
             out = compose(out, base)
         return out
 

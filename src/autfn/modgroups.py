@@ -15,6 +15,16 @@ results add up to the image code (:func:`_row_map`).  Enumeration, normal
 closures and the kernel checks multiply through row maps of their generators,
 and conjugation by g is two of them (x g^-1, then g x g^-1 read through the
 transpose).  Tables are built on first use, never at import.
+
+The cost of the algorithms below is how often they apply a row map, and
+they are built to apply few.  A group grows one generator at a time by right
+cosets of the group so far (:func:`_extend`, Dimino's method), which makes
+each element once.  Simplicity is decided on conjugacy classes: the normal closure of a
+class is the set of classes its products reach, found with the one row map
+of the class representative (:func:`is_simple`).  The reduction kernel of
+SL_n(Z/p^2) comes from one cached reduction pass, and its additive model is
+checked on every pair through row maps of the kernel's generators only
+(:func:`kernel_of_reduction`).
 """
 
 from __future__ import annotations
@@ -206,8 +216,11 @@ def mat_inv(a: Mat, n: int, m: int) -> Mat:
 
 
 def mat_pow(a: Mat, k: int, n: int, m: int) -> Mat:
-    out = mat_identity(n, m)
-    for _ in range(k):
+    """a^k for k >= 0, by k - 1 products starting from a."""
+    if k == 0:
+        return mat_identity(n, m)
+    out = a
+    for _ in range(k - 1):
         out = mat_mul(out, a, n, m)
     return out
 
@@ -216,11 +229,6 @@ def elementary_mat(k: int, r: int, power: int, n: int, m: int) -> Mat:
     if k == r:
         raise ValueError("elementary matrix needs distinct indices")
     return mat_identity(n, m) + (power % m) * m ** (n * n - 1 - ((k - 1) * n + (r - 1)))
-
-
-def project_mod(a: Mat, n: int, m: int, m_to: int) -> Mat:
-    """Reduce every entry of a matrix mod ``m_to``."""
-    return _projection(n, m, m_to)(a)
 
 
 # --- group tables ------------------------------------------------------------
@@ -293,12 +301,14 @@ class FiniteMatrixGroup:
         return i < len(self.elements) and self.elements[i] == a
 
     def subgroup(self, generators: Iterable[Mat]) -> "FiniteMatrixGroup":
+        """The subgroup the generators generate; it keeps as its generators
+        those that enlarged it, in the order given."""
         gens = [self._norm(g) for g in generators]
         for g in gens:
             if g not in self:
                 raise ValueError("subgroup generator outside the group")
-        elems = _closure(gens, self.right, self.identity)
-        return FiniteMatrixGroup(self.n, self.modulus, elems, gens, self.normalize)
+        elems, kept = _closure(gens, self.right, self.identity)
+        return FiniteMatrixGroup(self.n, self.modulus, elems, kept, self.normalize)
 
 
 _CHUNK = 4096  # images made between two checks of the size cap
@@ -310,38 +320,34 @@ def _extend(
     step: Callable[[Mat], Mat],
     cap: Optional[int] = None,
 ) -> None:
-    """Grow ``elems``, a group closed under the right multiplications
+    """Grow ``elems``, a group H closed under the right multiplications
     ``steps``, to the group that ``step`` generates along with it.
 
-    A path from the identity leaves the old group only through ``step``, so
-    it suffices to seed with the old group times ``step`` and to expand only
-    new elements by every step.
+    Dimino's coset enumeration: the grown group is a union of right cosets
+    Hx, and a right multiplication s maps the coset Hx onto the coset Hxs.
+    So one member's image tells where the whole coset goes: if it is already
+    in ``elems``, so is every image; if not, the images of the coset's
+    members form a new coset, which is added and queued.  Each element is
+    made once, and each coset is tested once per step (H itself only by
+    ``step``, since the old steps map H onto H).  The cap is checked every
+    ``_CHUNK`` images while a coset is filled, so at most that many elements
+    pass it before EnumerationCapError.
     """
     steps.append(step)
-    frontier = _layer(elems, [step], elems, cap)
-    while frontier:
-        frontier = _layer(frontier, steps, elems, cap)
-
-
-def _layer(
-    frontier: Iterable[Mat],
-    steps: Sequence[Callable[[Mat], Mat]],
-    elems: set[Mat],
-    cap: Optional[int],
-) -> set[Mat]:
-    """Add the images of ``frontier`` under ``steps`` to ``elems`` and return
-    those that were new.  The cap is checked every ``_CHUNK`` images, so at
-    most that many elements pass it before EnumerationCapError."""
-    new: set[Mat] = set()
-    for s in steps:
-        images = map(s, frontier)
-        while chunk := set(islice(images, _CHUNK)):
-            chunk -= elems
-            new |= chunk
-            if cap is not None and len(elems) + len(new) > cap:
-                raise EnumerationCapError(f"closure exceeded cap of {cap} elements")
-    elems |= new
-    return new
+    todo = [(list(elems), [step])]
+    while todo:
+        coset, by = todo.pop()
+        for s in by:
+            if s(coset[0]) in elems:
+                continue
+            images = map(s, coset)
+            new: list[Mat] = []
+            while chunk := list(islice(images, _CHUNK)):
+                elems.update(chunk)
+                new += chunk
+                if cap is not None and len(elems) > cap:
+                    raise EnumerationCapError(f"closure exceeded cap of {cap} elements")
+            todo.append((new, steps))
 
 
 def _closure(
@@ -349,15 +355,18 @@ def _closure(
     right: Callable[[Mat], Callable[[Mat], Mat]],
     identity: Mat,
     cap: Optional[int] = None,
-) -> set[Mat]:
-    """Elements of the group generated by ``gens``; ``right(g)`` is the map
-    x -> x * g.  A generator already inside adds nothing and is skipped."""
+) -> tuple[set[Mat], list[Mat]]:
+    """Elements of the group generated by ``gens``, and the generators that
+    enlarged it; ``right(g)`` is the map x -> x * g.  A generator already
+    inside adds nothing and is skipped."""
     elems = {identity}
     steps: list[Callable[[Mat], Mat]] = []
+    kept: list[Mat] = []
     for g in gens:
         if g not in elems:
+            kept.append(g)
             _extend(elems, steps, right(g), cap)
-    return elems
+    return elems, kept
 
 
 def enumerate_group(
@@ -370,7 +379,7 @@ def enumerate_group(
     for g in generators:
         _unit_inverse(mat_det(g, n, modulus), modulus)  # raises if singular
     space = _space(n, modulus)
-    elems = _closure(list(generators), space.right, mat_identity(n, modulus), cap)
+    elems, _ = _closure(list(generators), space.right, mat_identity(n, modulus), cap)
     return FiniteMatrixGroup(n, modulus, elems, list(generators))
 
 
@@ -482,16 +491,36 @@ def normal_closure(
 
 
 def is_simple(group: FiniteMatrixGroup) -> bool:
-    """True iff the normal closure of every nontrivial conjugacy-class
-    representative is the whole group."""
+    """True iff the group is nontrivial and the normal closure of every
+    nontrivial conjugacy class is the whole group, decided on classes.
+
+    The normal closure N of a class C is the union of the products C, CC,
+    CCC, ..., a union of classes: those of the smallest set S of classes
+    that holds C and, with each D in S, every class of D C.  The classes of
+    D C are those met by D x for one x in C, since the conjugates of D x are
+    the sets D (g x g^-1).  So N comes from the one row map x -> x * rep(C)
+    applied to the classes it reaches, at most |G| applications.  Closures
+    nest: once N meets a class whose closure is the whole group, so is N.
+    """
     if group.order == 1:
         return False
-    for cls in conjugacy_classes(group):
-        rep = cls[0]
-        if rep == group.identity:
+    classes = conjugacy_classes(group)
+    class_of = {e: i for i, cls in enumerate(classes) for e in cls}
+    whole: set[int] = set()  # classes whose normal closure is the group
+    for i, cls in enumerate(classes):
+        if cls[0] == group.identity:
             continue
-        if normal_closure([rep], group).order != group.order:
+        times = group.right(cls[0])
+        met, todo = {i}, [i]
+        while todo:
+            if len(met) == len(classes) or met & whole:
+                break
+            new = {class_of[y] for y in map(times, classes[todo.pop()])} - met
+            met |= new
+            todo += new
+        else:
             return False
+        whole.add(i)
     return True
 
 
@@ -510,6 +539,7 @@ class KernelReport:
     kernel: FiniteMatrixGroup
     shape_verified: bool  # kernel == {I + pA : tr A = 0 mod p}
     additive_iso_verified: bool  # (I+pA)(I+pB) -> A+B, checked pairwise
+    pairs_compared: int  # pairs on which that identity was checked
     all_elements_order_p: bool
 
 
@@ -525,12 +555,65 @@ def _kernel_shape_members(n: int, p: int) -> set[Mat]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_kernel(n: int, p: int) -> tuple[Mat, ...]:
-    """Sorted codes of the kernel of SL_n(Z/p^2) -> SL_n(Z/p)."""
-    m = p * p
-    reduce_p = _projection(n, m, p)
+def _reduction(n: int, p: int) -> tuple[tuple[Mat, ...], int]:
+    """Sorted codes of the kernel of SL_n(Z/p^2) -> SL_n(Z/p), and the order
+    of its image, from one reduction of every element."""
+    elements = sl_group(n, p * p).elements
+    images = list(map(_projection(n, p * p, p), elements))
     ident_small = mat_identity(n, p)
-    return tuple(e for e in sl_group(n, m).elements if reduce_p(e) == ident_small)
+    kernel = tuple(e for e, r in zip(elements, images) if r == ident_small)
+    return kernel, len(set(images))
+
+
+def _additive_parts(kernel: Iterable[Mat], n: int, p: int) -> dict[Mat, Mat]:
+    """Each kernel element I + pA mapped to the code of A.  The entries of
+    I + pA are those of I plus p times those of A, without carries, so the
+    code of A (entries below p, read mod p^2) is (code - code of I)/p."""
+    ident = mat_identity(n, p * p)
+    return {e: (e - ident) // p for e in kernel}
+
+
+def _additive_pairs(
+    parts: dict[Mat, Mat],
+    steps: Sequence[Callable[[Mat], Mat]],
+    identity: Mat,
+    n: int,
+    p: int,
+) -> tuple[bool, int]:
+    """Check part(a b) = part(a) + part(b) mod p over pairs of kernel
+    elements; return whether every pair compared passed, and how many were
+    compared (all of them unless one failed).
+
+    ``parts`` comes from :func:`_additive_parts` and ``steps`` are the right
+    multiplications by generators of the kernel.  The row of b lists a * b
+    for every a; for b = b' s it is the step s applied to the row of b', so
+    each product is one application.  Parts have entries below p, so the
+    identity holds exactly when A + B - part(a b) has every entry 0 or p.
+    Its entries, like those of the ``carries`` (p times a code whose entries
+    are 0 or 1), lie in (-p, 2p), so entries of the two differ by less than
+    p^2 and equal codes mean equal entries: the identity holds exactly when
+    the code difference pa + pb - part(a b) is a carry.
+    """
+    carries = {0}
+    for k in range(n * n):
+        carries |= {c + p * (p * p) ** k for c in carries}
+    elems = list(parts)
+    elem_parts = list(parts.values())
+    seen = {identity}
+    todo = [(identity, elems)]
+    compared = 0
+    while todo:
+        b, row = todo.pop()
+        pb = parts[b]
+        compared += len(row)
+        if not {pa + pb - parts[ab] for pa, ab in zip(elem_parts, row)} <= carries:
+            return False, compared
+        for s in steps:
+            c = s(b)
+            if c not in seen:
+                seen.add(c)
+                todo.append((c, list(map(s, row))))
+    return True, compared
 
 
 def kernel_of_reduction(n: int, p: int = 2) -> KernelReport:
@@ -538,45 +621,38 @@ def kernel_of_reduction(n: int, p: int = 2) -> KernelReport:
 
     Writing each kernel element as I + pA, the map I + pA -> A mod p is an
     isomorphism onto the additive group of trace-zero matrices over Z/p; the
-    report checks the homomorphism identity over every pair.  The entries of
-    I + pA are those of I plus p times those of A, without carries, so the
-    code of A (entries below p, read mod p^2) is (code - code of I)/p.
+    report checks that it is injective and checks the homomorphism identity
+    on every pair (:func:`_additive_pairs`), through the row maps of the
+    generators that the closure of the kernel keeps.  Kernel and image come
+    from one cached reduction pass over the group.
     """
     m = p * p
     group = sl_group(n, m)
-    reduce_p = _projection(n, m, p)
-    kernel_elems = _reduction_kernel(n, p)
-    image = set(map(reduce_p, group.elements))
+    kernel_elems, image_order = _reduction(n, p)
     sub = group.subgroup(kernel_elems)
 
     shape_ok = set(kernel_elems) == _kernel_shape_members(n, p)
 
-    ident = group.identity
-    parts = {e: (e - ident) // p for e in kernel_elems}
+    parts = _additive_parts(kernel_elems, n, p)
     iso_ok = len(set(parts.values())) == len(kernel_elems)
+    pairs = 0
     if iso_ok:
-        # Entries of A + B stay below 2p <= p^2, so reducing the sum of two
-        # codes mod p is A + B mod p; compare it with A of the product.
-        space = _space(n, m)
-        part_mod_p = {e: reduce_p(a) for e, a in parts.items()}
-        for b, pb in parts.items():
-            times_b = space.right(b)
-            if any(
-                part_mod_p[times_b(a)] != reduce_p(pa + pb) for a, pa in parts.items()
-            ):
-                iso_ok = False
-                break
+        steps = [group.right(g) for g in sub.generators]
+        iso_ok, pairs = _additive_pairs(parts, steps, group.identity, n, p)
+        iso_ok = iso_ok and pairs == len(kernel_elems) ** 2
 
+    ident = group.identity
     order_p = all(mat_pow(e, p, n, m) == ident for e in kernel_elems)
     return KernelReport(
         n=n,
         p=p,
         group_order=group.order,
         kernel_order=len(kernel_elems),
-        image_order=len(image),
+        image_order=image_order,
         kernel=sub,
         shape_verified=shape_ok,
         additive_iso_verified=iso_ok,
+        pairs_compared=pairs,
         all_elements_order_p=order_p,
     )
 
@@ -586,7 +662,7 @@ def closure_equals_reduction_kernel(n: int, p: int, power: int) -> bool:
     SL_n(Z/p^2) is exactly the kernel of reduction mod p."""
     m = p * p
     group = sl_group(n, m)
-    kernel = _reduction_kernel(n, p)
+    kernel, _ = _reduction(n, p)
     for k in range(1, n + 1):
         for r in range(1, n + 1):
             if k == r:
@@ -690,7 +766,7 @@ def section_search(
         for b in good_b:
             pairs_expanded += 1
             try:
-                sub = _closure([a, b], space.right, ident, cap=target_order)
+                sub, _ = _closure([a, b], space.right, ident, cap=target_order)
             except EnumerationCapError:
                 continue
             if len(sub) == target_order:
@@ -716,7 +792,7 @@ def splitting_search(
     if small.order != sl_group(n, p).order:
         raise ValueError("pair does not generate the target group")
 
-    kernel_elems = _reduction_kernel(n, p)
+    kernel_elems, _ = _reduction(n, p)
     space = _space(n, m)
     # Same entries, read mod p^2; the fiber over a is lift(a) times the kernel.
     lift_a0 = encode(decode(a, n, p), m)
@@ -798,7 +874,7 @@ def find_generating_pair(group: FiniteMatrixGroup) -> tuple[Mat, Mat]:
             if b == group.identity or b == a:
                 continue
             try:
-                sub = _closure([a, b], group.right, group.identity, cap=group.order)
+                sub, _ = _closure([a, b], group.right, group.identity, cap=group.order)
             except EnumerationCapError:
                 continue
             if len(sub) == group.order:

@@ -34,6 +34,8 @@ KEYWORDS = {
 
 # Named automorphism constructors; also unavailable as user identifiers.
 AUT_CONSTRUCTORS = set(NAMED_KINDS)
+# Largest product of a graph constructor's arguments (see parse_graph_decl).
+MAX_CONSTRUCTOR_SIZE = 10_000
 
 T = TypeVar("T")
 
@@ -1035,7 +1037,13 @@ class Parser:
 
     def parse_graph_decl(self) -> Statement:
         """A constructor call or a block, built into a ``Graph`` here, so a
-        graph that cannot be built is a parse error."""
+        graph that cannot be built is a parse error.
+
+        A constructor's arguments may multiply to at most
+        ``MAX_CONSTRUCTOR_SIZE``; every constructor builds at most twice
+        that many vertices and twice that many edges, so a larger call such as
+        ``rose(100000)`` is a parse error, located at the constructor, before
+        any graph is built."""
         self.next()
         name_tok = self.peek()
         name = self.declare("graph name")
@@ -1052,6 +1060,14 @@ class Parser:
             want = ctor.__code__.co_argcount
             if len(args) != want:
                 raise self.error(f"{ctor_tok.value} takes {want} argument(s)")
+            size = prod(max(a, 1) for a in args)
+            if size > MAX_CONSTRUCTOR_SIZE:
+                raise ParseError(
+                    f"{ctor_tok.value}: arguments multiply to {size}, "
+                    f"above the bound {MAX_CONSTRUCTOR_SIZE}",
+                    ctor_tok.line,
+                    ctor_tok.col,
+                )
             try:
                 graph = ctor(*args)
             except ValueError as exc:

@@ -82,6 +82,24 @@ class TestCompose:
         assert compose(F6, e) == F6
         assert compose(e, F6) == F6
 
+    def test_powers_start_from_the_base(self, monkeypatch):
+        import autfn.endos as endos_module
+
+        calls = []
+
+        def counted(f, g):
+            calls.append((f, g))
+            return compose(f, g)
+
+        monkeypatch.setattr(endos_module, "compose", counted)
+        assert F6**1 == F6
+        assert F6**-1 == invert_automorphism(F6)
+        assert F6**0 == Endomorphism.identity(6)
+        assert calls == []
+        assert F6**3 == compose(F6, compose(F6, F6))
+        assert len(calls) == 2
+        assert G4**-2 == compose(invert_automorphism(G4), invert_automorphism(G4))
+
     def test_associative_on_samples(self):
         rng = random.Random(7)
         gens = [named("L", 1, 2, rank=4), named("P", 3, 4, rank=4),

@@ -2,15 +2,18 @@ import random
 from itertools import islice, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import autfn.modgroups as modgroups
 from autfn.modgroups import (
-    _CHUNK, EnumerationCapError, _extend, _space, center, closure_equals_reduction_kernel,
-    closure_spans_kernel_additively, conjugacy_classes, decode, elementary_mat,
-    encode, enumerate_group, find_generating_pair, invariant_subreps, is_simple,
-    kernel_of_reduction, load_generating_pair, mat_identity, mat_inv, mat_mul,
-    mat_pow, normal_closure, product_section_fixture, project_mod, psl_group,
-    quotient_by_center, section_search, sl_generators, sl_group, split_obstruction,
-    splitting_search, verify_obstruction_certificate,
+    _CHUNK, EnumerationCapError, _closure, _extend, _projection, _space, center,
+    closure_equals_reduction_kernel, closure_spans_kernel_additively,
+    conjugacy_classes, decode, elementary_mat, encode, enumerate_group,
+    find_generating_pair, invariant_subreps, is_simple, kernel_of_reduction,
+    load_generating_pair, mat_identity, mat_inv, mat_mul, mat_pow, normal_closure,
+    product_section_fixture, psl_group, quotient_by_center, section_search,
+    sl_generators, sl_group, split_obstruction, splitting_search,
+    verify_obstruction_certificate,
 )
 
 
@@ -31,6 +34,12 @@ class TestArithmetic:
     def test_pow(self):
         e = elementary_mat(2, 1, 1, 3, 5)
         assert mat_pow(e, 5, 3, 5) == mat_identity(3, 5)
+
+    def test_pow_zero_and_one(self):
+        e = elementary_mat(2, 1, 1, 3, 5)
+        assert mat_pow(e, 0, 3, 5) == mat_identity(3, 5)
+        assert mat_pow(e, 1, 3, 5) == e
+        assert mat_pow(e, 3, 3, 5) == elementary_mat(2, 1, 3, 3, 5)
 
 
 def _naive_product(a, b, n, m):
@@ -70,7 +79,7 @@ class TestCodes:
             conj = _naive_product(_naive_product(g, a, n, m), mat_inv(g, n, m), n, m)
             assert space.conjugator(g)(a) == conj
             if m == 4:
-                assert decode(project_mod(a, n, m, 2), n, 2) == bytes(
+                assert decode(_projection(n, m, 2)(a), n, 2) == bytes(
                     x % 2 for x in decode(a, n, m)
                 )
 
@@ -114,6 +123,150 @@ class TestEnumeration:
         a = enumerate_group(2, 3, sl_generators(2, 3))
         b = enumerate_group(2, 3, sl_generators(2, 3))
         assert a.elements == b.elements
+
+
+def _layer(frontier, steps, elems, cap):
+    """Test oracle: one breadth-first layer.  Adds the images of ``frontier``
+    under ``steps`` to ``elems`` and returns those that were new; the cap is
+    checked every ``_CHUNK`` images."""
+    new = set()
+    for s in steps:
+        images = map(s, frontier)
+        while chunk := set(islice(images, _CHUNK)):
+            chunk -= elems
+            new |= chunk
+            if cap is not None and len(elems) + len(new) > cap:
+                raise EnumerationCapError(f"closure exceeded cap of {cap} elements")
+    elems |= new
+    return new
+
+
+def _layer_closure(gens, right, identity, cap=None):
+    """Test oracle: closure by breadth-first layers.  A path from the identity
+    leaves the old group only through the new generator's step, so each new
+    generator seeds one layer from the old group, and later layers expand
+    only new elements, by every step."""
+    elems = {identity}
+    steps = []
+    for g in gens:
+        if g not in elems:
+            steps.append(right(g))
+            frontier = _layer(elems, steps[-1:], elems, cap)
+            while frontier:
+                frontier = _layer(frontier, steps, elems, cap)
+    return elems
+
+
+# Small groups for the oracle tests; the PSL entries are central quotients,
+# whose row maps renormalize every product.
+_SMALL_GROUPS = [(sl_group, 2, 5), (sl_group, 3, 2), (sl_group, 2, 3), (psl_group, 2, 5)]
+
+
+@st.composite
+def small_groups_with_generators(draw):
+    build, n, m = draw(st.sampled_from(_SMALL_GROUPS))
+    group = build(n, m)
+    picks = draw(st.lists(st.integers(0, group.order - 1), min_size=1, max_size=3))
+    return group, [group.elements[i] for i in picks]
+
+
+def _capped(closure, *args):
+    try:
+        return closure(*args)
+    except EnumerationCapError:
+        return "cap"
+
+
+class TestCosetOracle:
+    """The coset closure of ``_extend`` against breadth-first layers."""
+
+    @settings(deadline=None, max_examples=150, derandomize=True)
+    @given(small_groups_with_generators(), st.none() | st.integers(1, 200))
+    def test_agrees_with_layers(self, drawn, cap):
+        group, gens = drawn
+        got = _capped(lambda: _closure(gens, group.right, group.identity, cap)[0])
+        want = _capped(_layer_closure, gens, group.right, group.identity, cap)
+        assert got == want
+
+    @pytest.mark.parametrize("n, m", [(2, 5), (3, 2), (2, 3)])
+    def test_whole_groups_agree_with_layers(self, n, m):
+        space, ident = _space(n, m), mat_identity(n, m)
+        gens = sl_generators(n, m)
+        assert _closure(gens, space.right, ident)[0] == _layer_closure(
+            gens, space.right, ident
+        )
+
+    def test_cyclic_subgroups_agree_with_layers(self):
+        group = sl_group(2, 5)
+        for a in group.elements:
+            elems, kept = _closure([a], group.right, group.identity)
+            assert elems == _layer_closure([a], group.right, group.identity)
+            assert len(elems) == group.element_order(a)
+            assert kept == ([] if a == group.identity else [a])
+
+    def test_each_element_is_made_once(self):
+        # Growing G_{i-1} to G_i by the i-th kept step tests the old group
+        # by the new step once, every other coset once per step, and makes
+        # each new element once.
+        space, ident = _space(3, 4), mat_identity(3, 4)
+        made = []
+
+        def counted(g):
+            step = space.right(g)
+            return lambda x: made.append(x) or step(x)
+
+        _, kept = _closure(sl_generators(3, 4), space.right, ident)
+        orders = [
+            len(_closure(kept[:i], space.right, ident)[0]) for i in range(len(kept) + 1)
+        ]
+        assert orders[-1] == 43008
+        _closure(kept, counted, ident)
+        tests = sum(
+            1 + (orders[i] // orders[i - 1] - 1) * i for i in range(1, len(orders))
+        )
+        assert len(made) == 43008 - 1 + tests
+
+
+def _simple_by_normal_closures(group):
+    """Test oracle: one normal closure per nontrivial class representative."""
+    if group.order == 1:
+        return False
+    return all(
+        normal_closure([cls[0]], group).order == group.order
+        for cls in conjugacy_classes(group)
+        if cls[0] != group.identity
+    )
+
+
+class TestSimplicityOracle:
+    """``is_simple`` on classes against one normal closure per class."""
+
+    @pytest.mark.parametrize(
+        "build, n, m, simple",
+        [(sl_group, 3, 2, True), (psl_group, 2, 3, False), (sl_group, 2, 5, False),
+         (psl_group, 2, 5, True), (sl_group, 2, 3, False)],
+    )
+    def test_named_groups(self, build, n, m, simple):
+        group = build(n, m)
+        assert is_simple(group) == _simple_by_normal_closures(group) == simple
+
+    def test_cyclic_groups(self):
+        # SL_2(Z/5) has elements of orders 1, 2, 3, 4, 5, 6 and 10; a cyclic
+        # group is simple exactly when its order is prime.
+        group = sl_group(2, 5)
+        by_order = {group.element_order(a): a for a in group.elements}
+        assert sorted(by_order) == [1, 2, 3, 4, 5, 6, 10]
+        for k, a in by_order.items():
+            cyclic = group.subgroup([a])
+            assert is_simple(cyclic) == _simple_by_normal_closures(cyclic)
+            assert is_simple(cyclic) == (k in (2, 3, 5))
+
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(small_groups_with_generators())
+    def test_subgroups(self, drawn):
+        group, gens = drawn
+        sub = group.subgroup(gens)
+        assert is_simple(sub) == _simple_by_normal_closures(sub)
 
 
 class TestCenter:
@@ -166,6 +319,32 @@ class TestKernelReport:
         assert rep.shape_verified
         assert rep.additive_iso_verified
         assert rep.all_elements_order_p
+
+    def test_every_pair_is_compared(self):
+        rep = kernel_of_reduction(3, 2)
+        assert rep.pairs_compared == rep.kernel_order**2 == 65536
+        assert len(rep.kernel.generators) == 8
+
+    def test_corrupted_additive_map_fails(self, monkeypatch):
+        honest = modgroups._additive_parts
+
+        def corrupted(kernel, n, p):
+            # Add 1 to the top-left entry of A for one element whose entry
+            # is 0: the map stays injective (that part has trace 1, no other
+            # part does), so only the pairwise identity can catch it.
+            parts = honest(kernel, n, p)
+            e = next(
+                e for e, a in parts.items() if a != 0 and decode(a, n, p * p)[0] == 0
+            )
+            parts[e] += (p * p) ** (n * n - 1)
+            assert len(set(parts.values())) == len(parts)
+            return parts
+
+        monkeypatch.setattr(modgroups, "_additive_parts", corrupted)
+        rep = kernel_of_reduction(3, 2)
+        assert rep.shape_verified and rep.all_elements_order_p
+        assert not rep.additive_iso_verified
+        assert rep.pairs_compared < 65536
 
     def test_every_kernel_element_squares_to_identity(self):
         rep = kernel_of_reduction(3, 2)
@@ -238,10 +417,10 @@ class TestSplitting:
         # bijectively onto the 168-element quotient.
         sub = enumerate_group(3, 4, [encode(wa, 4), encode(wb, 4)])
         assert sub.order == 168
-        projections = {project_mod(e, 3, 4, 2) for e in sub.elements}
+        projections = set(map(_projection(3, 4, 2), sub.elements))
         assert len(projections) == 168
         meets_kernel = [e for e in sub.elements
-                        if project_mod(e, 3, 4, 2) == mat_identity(3, 2)
+                        if _projection(3, 4, 2)(e) == mat_identity(3, 2)
                         and e != mat_identity(3, 4)]
         assert meets_kernel == []
 
@@ -296,7 +475,7 @@ class TestSectionOracle:
             got = section_search([x], [y], n, m, *orders, small.order).found
             want = _bfs_section(
                 x, y, lambda u, v: mat_mul(u, v, n, m), ident,
-                lambda u: project_mod(u, n, m, p) == ident_p, small.order,
+                lambda u: _projection(n, m, p)(u) == ident_p, small.order,
             )
             assert got == want
             verdicts.append(got)

@@ -123,6 +123,32 @@ aut f = induced t at v0 basis B
         assert ctor.split("(")[0] in exc.value.message
 
 
+    @pytest.mark.parametrize(
+        "ctor, size", [("rose(100000000)", 100000000), ("ring(101, 100)", 10100)]
+    )
+    def test_oversized_constructor_is_rejected_before_building(
+        self, monkeypatch, ctor, size
+    ):
+        def refuse_rose(n):
+            raise AssertionError("graph built")
+
+        def refuse_ring(r, m):
+            raise AssertionError("graph built")
+
+        monkeypatch.setitem(CONSTRUCTORS, "rose", refuse_rose)
+        monkeypatch.setitem(CONSTRUCTORS, "ring", refuse_ring)
+        with pytest.raises(ParseError) as exc:
+            parse_scenario(f"rank 2\ngraph g = {ctor}")
+        assert (exc.value.line, exc.value.col) == (2, 11)
+        name = ctor.split("(")[0]
+        assert exc.value.message == (
+            f"{name}: arguments multiply to {size}, above the bound 10000"
+        )
+
+    def test_constructor_at_the_size_bound_is_built(self):
+        s = parse_scenario("rank 2\ngraph g = ring(100, 100)")
+        assert len(s.statements[1].graph.edges) == 10000
+
     def test_disconnected_block_graph_is_located_at_its_name(self):
         with pytest.raises(ParseError) as exc:
             parse_scenario(
@@ -188,7 +214,8 @@ _VOCAB = sorted(KEYWORDS | set(PUNCT))
 def mutated_scenarios(draw):
     """A bundled scenario with one to three edits: a token replaced by a
     keyword or punctuation, an integer argument of a call replaced by a small
-    integer, a line cut short, or a keyword or punctuation inserted."""
+    integer or by 10^9 (a graph constructor must refuse it before building),
+    a line cut short, or a keyword or punctuation inserted."""
     text = draw(st.sampled_from(_CORPUS))
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(["token", "argument", "truncate", "insert"]))
@@ -209,7 +236,7 @@ def mutated_scenarios(draw):
             if kind == "token":
                 new = draw(st.sampled_from(_VOCAB))
             else:
-                new = str(draw(st.integers(-3, 3)))
+                new = str(draw(st.integers(-3, 3) | st.just(10**9)))
             text = text[:start] + new + text[end:]
     return text
 
