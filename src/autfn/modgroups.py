@@ -14,16 +14,24 @@ map* is n lookups in tables of M entries, one table per row position, whose
 results add up to the image code (:func:`_row_map`).  Enumeration, normal
 closures and the kernel checks multiply through row maps of their generators,
 and conjugation by g is two of them (x g^-1, then g x g^-1 read through the
-transpose).  Tables are built on first use, never at import.
+transpose).  A table is filled by linearity, one digit of the row at a time
+(:meth:`_Space.row_products`).  Tables are built on first use, never at
+import.
 
 The cost of the algorithms below is how often they apply a row map, and
-they are built to apply few.  A group grows one generator at a time by right
-cosets of the group so far (:func:`_extend`, Dimino's method), which makes
-each element once.  Simplicity is decided on conjugacy classes: the normal closure of a
-class is the set of classes its products reach, found with the one row map
-of the class representative (:func:`is_simple`).  The reduction kernel of
-SL_n(Z/p^2) comes from one cached reduction pass, and its additive model is
-checked on every pair through row maps of the kernel's generators only
+they are built to apply about generators x elements, never elements^2 or
+all the elements of a larger group.  SL_n(Z/m) is generated by its 2(n - 1)
+adjacent elementary matrices (:func:`sl_generators`), and a group keeps only
+the generators its closure needed.  A group grows one generator at a time
+by right cosets of the group so far (:func:`_extend`, Dimino's method),
+which makes each element once.  The center is found once per group
+(:attr:`FiniteMatrixGroup.center`).  Simplicity is decided on conjugacy
+classes: the normal closure of a class is the set of classes its products
+reach, found with the one row map of the class representative
+(:func:`is_simple`).  The reduction kernel of SL_n(Z/p^2) is the set of
+lifts I + pA of the identity that are members of the group, and its
+additive model is checked on the products of each kernel element with each
+kernel generator, which covers every pair by induction
 (:func:`kernel_of_reduction`).
 """
 
@@ -106,9 +114,19 @@ class _Space:
         )
 
     def row_products(self, b: Mat) -> list[int]:
-        """Row code of r * b for every row code r."""
-        cols = list(zip(*self.rows(b)))
-        return [self._times(row, cols) for row in self.row_entries]
+        """Row code of r * b for every row code r, filled by linearity: entry
+        k of r * b is the sum over j of r_j b_jk, so column k's table over
+        all rows grows one digit r_j at a time by adding the multiples of
+        b_jk, and is reduced mod m once at the end."""
+        m = self.m
+        out = [0] * self.base
+        for col, w in zip(zip(*self.rows(b)), self.place):
+            table = [0]
+            for e in col:
+                multiples = [d * e for d in range(m)]
+                table = [t + x for t in table for x in multiples]
+            out = [o + t % m * w for o, t in zip(out, table)]
+        return out
 
     def right(self, b: Mat) -> Callable[[Mat], Mat]:
         """x -> x * b."""
@@ -226,8 +244,11 @@ def mat_pow(a: Mat, k: int, n: int, m: int) -> Mat:
 
 
 def elementary_mat(k: int, r: int, power: int, n: int, m: int) -> Mat:
+    """Identity plus ``power`` at off-diagonal position (k, r); 1-based."""
     if k == r:
         raise ValueError("elementary matrix needs distinct indices")
+    if not (1 <= k <= n and 1 <= r <= n):
+        raise ValueError(f"indices ({k},{r}) out of range for n={n}")
     return mat_identity(n, m) + (power % m) * m ** (n * n - 1 - ((k - 1) * n + (r - 1)))
 
 
@@ -288,6 +309,13 @@ class FiniteMatrixGroup:
             cur = self.op(cur, a)
             k += 1
         return k
+
+    @cached_property
+    def center(self) -> tuple[Mat, ...]:
+        """Elements commuting with every generator, i.e. fixed by conjugation
+        by each; found once per group, on first use."""
+        conjugators = [self.conjugator(g) for g in self.generators]
+        return tuple(z for z in self.elements if all(c(z) == z for c in conjugators))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -373,23 +401,40 @@ def enumerate_group(
     n: int,
     modulus: int,
     generators: Sequence[Mat],
-    cap: Optional[int] = 10_000_000,
+    cap: Optional[int] = 1_000_000,
 ) -> FiniteMatrixGroup:
-    """Closure of invertible generators mod ``modulus``."""
+    """Closure of invertible generators mod ``modulus``; the group keeps as
+    its generators those that enlarged it, in the order given.
+
+    The cap bounds memory, which grows by about 75 bytes per element:
+    enumerating SL_4(Z/3) (order 12,130,560) until the default cap trips
+    took 0.8-1.4 s and reached 87-90 MB of peak resident memory (Python
+    3.11, 2-core x86-64 host), where a cap of 10^7 would let it reach about
+    0.8 GB.
+    """
     for g in generators:
         _unit_inverse(mat_det(g, n, modulus), modulus)  # raises if singular
     space = _space(n, modulus)
-    elems, _ = _closure(list(generators), space.right, mat_identity(n, modulus), cap)
-    return FiniteMatrixGroup(n, modulus, elems, list(generators))
+    elems, kept = _closure(list(generators), space.right, mat_identity(n, modulus), cap)
+    return FiniteMatrixGroup(n, modulus, elems, kept)
 
 
 def sl_generators(n: int, modulus: int) -> list[Mat]:
-    """All off-diagonal elementary matrices; they generate SL_n(Z/m)."""
+    """The 2(n - 1) adjacent elementary matrices e_{i,i+1} and e_{i+1,i}.
+
+    They generate SL_n(Z/m).  The elementary matrices e_ij (i != j) do, and
+    each is a commutator of two nearer to the diagonal: for distinct i, j, k,
+    [e_ij, e_jk] = e_ij e_jk e_ij^-1 e_jk^-1 = e_ik (Steinberg's relation):
+    expanding (I + E_ij)(I + E_jk)(I - E_ij)(I - E_jk) leaves I + E_ik, as
+    E_ij E_jk = E_ik while E_ij^2, E_jk^2 and E_jk E_ij vanish.  So e_ik with
+    i < k is [e_{i,k-1}, e_{k-1,k}] and e_ik with i > k is [e_{i,k+1},
+    e_{k+1,k}], and induction on |i - k| reaches every e_ij from the
+    adjacent ones.
+    """
     return [
-        elementary_mat(i, j, 1, n, modulus)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if i != j
+        elementary_mat(i + a, i + 1 - a, 1, n, modulus)
+        for i in range(1, n)
+        for a in (0, 1)
     ]
 
 
@@ -398,15 +443,14 @@ def sl_group(n: int, modulus: int) -> FiniteMatrixGroup:
     return enumerate_group(n, modulus, sl_generators(n, modulus))
 
 
-def center(group: FiniteMatrixGroup) -> list[Mat]:
-    """Elements commuting with every generator, i.e. fixed by conjugation."""
-    conjugators = [group.conjugator(g) for g in group.generators]
-    return [z for z in group.elements if all(c(z) == z for c in conjugators)]
+def center(group: FiniteMatrixGroup) -> tuple[Mat, ...]:
+    """Elements commuting with every generator (:attr:`FiniteMatrixGroup.center`)."""
+    return group.center
 
 
 def quotient_by_center(group: FiniteMatrixGroup) -> FiniteMatrixGroup:
     """Central quotient with least-code coset representatives."""
-    zs = center(group)
+    zs = group.center
     if len(zs) == 1:
         return group
     space = _space(group.n, group.modulus)
@@ -535,34 +579,46 @@ class KernelReport:
     p: int
     group_order: int
     kernel_order: int
-    image_order: int
-    kernel: FiniteMatrixGroup
+    image_order: int  # order of the closure of the reduced generators
+    kernel: FiniteMatrixGroup  # generators: those its closure kept
     shape_verified: bool  # kernel == {I + pA : tr A = 0 mod p}
-    additive_iso_verified: bool  # (I+pA)(I+pB) -> A+B, checked pairwise
-    pairs_compared: int  # pairs on which that identity was checked
+    additive_iso_verified: bool  # I + pA -> A injective and additive
+    products_checked: int  # products x * s (x in kernel, s a generator) that passed
     all_elements_order_p: bool
+
+
+def _identity_lifts(n: int, p: int) -> Iterable[tuple[tuple[int, ...], Mat]]:
+    """Each n x n matrix A with entries below p, in increasing code order,
+    with the code of I + pA mod p^2."""
+    m = p * p
+    ident = mat_identity(n, m)
+    for a in product(range(p), repeat=n * n):
+        yield a, ident + p * encode(a, m)
 
 
 def _kernel_shape_members(n: int, p: int) -> set[Mat]:
     """All I + pA mod p^2 with tr A = 0 mod p."""
-    m = p * p
-    ident = mat_identity(n, m)
-    return {
-        ident + p * encode(a, m)
-        for a in product(range(p), repeat=n * n)
-        if sum(a[:: n + 1]) % p == 0
-    }
+    return {c for a, c in _identity_lifts(n, p) if sum(a[:: n + 1]) % p == 0}
 
 
 @lru_cache(maxsize=None)
 def _reduction(n: int, p: int) -> tuple[tuple[Mat, ...], int]:
     """Sorted codes of the kernel of SL_n(Z/p^2) -> SL_n(Z/p), and the order
-    of its image, from one reduction of every element."""
-    elements = sl_group(n, p * p).elements
-    images = list(map(_projection(n, p * p, p), elements))
-    ident_small = mat_identity(n, p)
-    kernel = tuple(e for e, r in zip(elements, images) if r == ident_small)
-    return kernel, len(set(images))
+    of its image.
+
+    A kernel element reduces to I, so it is I + pA for some A with entries
+    below p: the kernel is the p^(n^2) such lifts of I that are members of
+    the group.  The image of the group generated by S is the group generated
+    by the reductions of S, so its order is that of their closure mod p.
+    """
+    m = p * p
+    group = sl_group(n, m)
+    kernel = tuple(c for _, c in _identity_lifts(n, p) if c in group)
+    reduce_p = _projection(n, m, p)
+    image, _ = _closure(
+        [reduce_p(g) for g in group.generators], _space(n, p).right, mat_identity(n, p)
+    )
+    return kernel, len(image)
 
 
 def _additive_parts(kernel: Iterable[Mat], n: int, p: int) -> dict[Mat, Mat]:
@@ -575,45 +631,52 @@ def _additive_parts(kernel: Iterable[Mat], n: int, p: int) -> dict[Mat, Mat]:
 
 def _additive_pairs(
     parts: dict[Mat, Mat],
-    steps: Sequence[Callable[[Mat], Mat]],
+    gens: Sequence[Mat],
+    right: Callable[[Mat], Callable[[Mat], Mat]],
     identity: Mat,
     n: int,
     p: int,
 ) -> tuple[bool, int]:
-    """Check part(a b) = part(a) + part(b) mod p over pairs of kernel
-    elements; return whether every pair compared passed, and how many were
-    compared (all of them unless one failed).
+    """Check part(x s) = part(x) + part(s) mod p for every kernel element x
+    and every generator s; return whether all held, and how many products
+    passed (|K| per generator, all |K| |S| unless one failed).
 
-    ``parts`` comes from :func:`_additive_parts` and ``steps`` are the right
-    multiplications by generators of the kernel.  The row of b lists a * b
-    for every a; for b = b' s it is the step s applied to the row of b', so
-    each product is one application.  Parts have entries below p, so the
-    identity holds exactly when A + B - part(a b) has every entry 0 or p.
-    Its entries, like those of the ``carries`` (p times a code whose entries
-    are 0 or 1), lie in (-p, 2p), so entries of the two differ by less than
-    p^2 and equal codes mean equal entries: the identity holds exactly when
-    the code difference pa + pb - part(a b) is a carry.
+    ``parts`` comes from :func:`_additive_parts`, its keys the kernel K;
+    ``gens`` generate a group holding K (those that the closure of K keeps
+    do), and ``right(s)`` is the map x -> x s.  So every b in K is a product
+    s_1 ... s_k of generators (in a finite group inverses are positive
+    powers).  Each product x s must land in K, so a s_1 ... s_j stays in K
+    for every a in K.  part(1) = 0 is checked too, and then part(a b) =
+    part(a) + part(b) holds for every pair, by induction on k: for b = 1,
+    part(a) = part(a) + part(1); for b = b' s,
+    part(a b' s) = part(a b') + part(s) = part(a) + part(b') + part(s) =
+    part(a) + part(b' s), by the check at x = a b', the induction hypothesis
+    and the check at x = b'.
+
+    Parts have entries below p, so the identity holds exactly when
+    part(x) + part(s) - part(x s) has every entry 0 or p.  Its entries, like
+    those of the ``carries`` (p times a code whose entries are 0 or 1), lie
+    in (-p, 2p), so entries of the two differ by less than p^2 and equal
+    codes mean equal entries: the identity holds exactly when that code
+    difference is a carry.
     """
+    if parts.get(identity) != 0:
+        return False, 0
     carries = {0}
     for k in range(n * n):
         carries |= {c + p * (p * p) ** k for c in carries}
     elems = list(parts)
     elem_parts = list(parts.values())
-    seen = {identity}
-    todo = [(identity, elems)]
-    compared = 0
-    while todo:
-        b, row = todo.pop()
-        pb = parts[b]
-        compared += len(row)
-        if not {pa + pb - parts[ab] for pa, ab in zip(elem_parts, row)} <= carries:
-            return False, compared
-        for s in steps:
-            c = s(b)
-            if c not in seen:
-                seen.add(c)
-                todo.append((c, list(map(s, row))))
-    return True, compared
+    checked = 0
+    for s in gens:
+        ps = parts[s]
+        products = [parts.get(y) for y in map(right(s), elems)]
+        if None in products or not {
+            px + ps - pxs for px, pxs in zip(elem_parts, products)
+        } <= carries:
+            return False, checked
+        checked += len(products)
+    return True, checked
 
 
 def kernel_of_reduction(n: int, p: int = 2) -> KernelReport:
@@ -621,10 +684,10 @@ def kernel_of_reduction(n: int, p: int = 2) -> KernelReport:
 
     Writing each kernel element as I + pA, the map I + pA -> A mod p is an
     isomorphism onto the additive group of trace-zero matrices over Z/p; the
-    report checks that it is injective and checks the homomorphism identity
-    on every pair (:func:`_additive_pairs`), through the row maps of the
-    generators that the closure of the kernel keeps.  Kernel and image come
-    from one cached reduction pass over the group.
+    report checks that it is injective and additive, the latter on the
+    products of every kernel element with each generator that the closure
+    of the kernel keeps (:func:`_additive_pairs`, whose induction covers
+    every pair).  Kernel and image come from :func:`_reduction`.
     """
     m = p * p
     group = sl_group(n, m)
@@ -635,11 +698,12 @@ def kernel_of_reduction(n: int, p: int = 2) -> KernelReport:
 
     parts = _additive_parts(kernel_elems, n, p)
     iso_ok = len(set(parts.values())) == len(kernel_elems)
-    pairs = 0
+    products = 0
     if iso_ok:
-        steps = [group.right(g) for g in sub.generators]
-        iso_ok, pairs = _additive_pairs(parts, steps, group.identity, n, p)
-        iso_ok = iso_ok and pairs == len(kernel_elems) ** 2
+        iso_ok, products = _additive_pairs(
+            parts, sub.generators, group.right, group.identity, n, p
+        )
+        iso_ok = iso_ok and products == len(kernel_elems) * len(sub.generators)
 
     ident = group.identity
     order_p = all(mat_pow(e, p, n, m) == ident for e in kernel_elems)
@@ -652,7 +716,7 @@ def kernel_of_reduction(n: int, p: int = 2) -> KernelReport:
         kernel=sub,
         shape_verified=shape_ok,
         additive_iso_verified=iso_ok,
-        pairs_compared=pairs,
+        products_checked=products,
         all_elements_order_p=order_p,
     )
 
@@ -794,12 +858,18 @@ def splitting_search(
 
     kernel_elems, _ = _reduction(n, p)
     space = _space(n, m)
-    # Same entries, read mod p^2; the fiber over a is lift(a) times the kernel.
-    lift_a0 = encode(decode(a, n, p), m)
-    lift_b0 = encode(decode(b, n, p), m)
+
+    def fiber(x: Mat) -> list[Mat]:
+        """lift * k for k in the sorted kernel, the lift having x's entries
+        read mod p^2, as k -> lift k lift^-1 -> lift k through the
+        conjugator and the right multiplication, each built once."""
+        lift = encode(decode(x, n, p), m)
+        conj, times = space.conjugator(lift), space.right(lift)
+        return [times(conj(k)) for k in kernel_elems]
+
     result = section_search(
-        [space.mul(lift_a0, k) for k in kernel_elems],
-        [space.mul(lift_b0, k) for k in kernel_elems],
+        fiber(a),
+        fiber(b),
         n,
         m,
         order_a=small.element_order(a),

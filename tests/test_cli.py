@@ -156,6 +156,13 @@ class TestInputErrors:
         ]) == 1
         assert "distinct indices" in self.one_line(capsys)
 
+    @pytest.mark.parametrize("k, r", [("1", "4"), ("5", "1")])
+    def test_closure_index_out_of_range(self, capsys, k, r):
+        assert main([
+            "closure", "--n", "3", "--mod", "4", "--k", k, "--r", r, "--power", "1",
+        ]) == 1
+        assert f"indices ({k},{r}) out of range for n=3" in self.one_line(capsys)
+
     def test_closure_zero_modulus(self, capsys):
         assert main([
             "closure", "--n", "2", "--mod", "0", "--k", "1", "--r", "2", "--power", "1",

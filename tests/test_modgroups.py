@@ -1,12 +1,13 @@
 import random
-from itertools import islice, product
+from itertools import islice, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import autfn.modgroups as modgroups
 from autfn.modgroups import (
-    _CHUNK, EnumerationCapError, _closure, _extend, _projection, _space, center,
+    _CHUNK, EnumerationCapError, _additive_pairs, _additive_parts, _closure,
+    _extend, _projection, _reduction, _space, center,
     closure_equals_reduction_kernel, closure_spans_kernel_additively,
     conjugacy_classes, decode, elementary_mat, encode, enumerate_group,
     find_generating_pair, invariant_subreps, is_simple, kernel_of_reduction,
@@ -15,6 +16,7 @@ from autfn.modgroups import (
     sl_generators, sl_group, split_obstruction, splitting_search,
     verify_obstruction_certificate,
 )
+from autfn.runner import run_text
 
 
 def sl_order_formula(n: int, p: int, k: int = 1) -> int:
@@ -41,6 +43,12 @@ class TestArithmetic:
         assert mat_pow(e, 1, 3, 5) == e
         assert mat_pow(e, 3, 3, 5) == elementary_mat(2, 1, 3, 3, 5)
 
+    @pytest.mark.parametrize("k, r", [(1, 4), (4, 1), (0, 2), (2, 0), (5, 1), (-1, 2)])
+    def test_elementary_indices_are_checked(self, k, r):
+        # (1, 4) at n = 3 would otherwise land on entry (2, 1).
+        with pytest.raises(ValueError, match="out of range for n=3"):
+            elementary_mat(k, r, 1, 3, 4)
+
 
 def _naive_product(a, b, n, m):
     """Test oracle: schoolbook product of decoded entries."""
@@ -62,6 +70,16 @@ class TestCodes:
     def test_encode_reduces_entries(self):
         assert encode([5, -1, 0, 9], 4) == encode([1, 3, 0, 1], 4)
         assert decode(encode([1, 3, 0, 1], 4), 2, 4) == bytes([1, 3, 0, 1])
+
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(st.sampled_from([(2, 3), (2, 4), (2, 9), (3, 3), (3, 4), (3, 9)]), st.data())
+    def test_linear_row_tables_agree_with_dot_products(self, nm, data):
+        n, m = nm
+        space = _space(n, m)
+        b = data.draw(st.integers(0, m ** (n * n) - 1))
+        cols = list(zip(*space.rows(b)))
+        by_dot_products = [space._times(row, cols) for row in space.row_entries]
+        assert space.row_products(b) == by_dot_products
 
     @pytest.mark.parametrize("n, m", [(1, 5), (2, 3), (3, 4), (4, 3)])
     def test_row_maps_agree_with_schoolbook_products(self, n, m):
@@ -123,6 +141,49 @@ class TestEnumeration:
         a = enumerate_group(2, 3, sl_generators(2, 3))
         b = enumerate_group(2, 3, sl_generators(2, 3))
         assert a.elements == b.elements
+
+    def test_keeps_only_the_generators_its_closure_needed(self):
+        e12 = elementary_mat(1, 2, 1, 2, 5)
+        g = enumerate_group(2, 5, [e12, mat_pow(e12, 2, 2, 5), mat_identity(2, 5)])
+        assert g.order == 5
+        assert g.generators == (e12,)
+
+
+def _all_elementary(n, m):
+    """Test oracle: every off-diagonal elementary matrix e_ij, i != j."""
+    return [
+        elementary_mat(i, j, 1, n, m)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        if i != j
+    ]
+
+
+class TestAdjacentGenerators:
+    """SL_n(Z/m) from the 2(n - 1) adjacent transvections alone."""
+
+    @pytest.mark.parametrize(
+        "n, p, k", [(2, 3, 1), (2, 5, 1), (3, 2, 1), (3, 3, 1), (3, 2, 2), (4, 2, 1)]
+    )
+    def test_same_element_table_as_all_elementary_matrices(self, n, p, k):
+        m = p**k
+        adjacent = sl_generators(n, m)
+        assert len(adjacent) == 2 * (n - 1)
+        assert set(adjacent) <= set(_all_elementary(n, m))
+        whole = enumerate_group(n, m, _all_elementary(n, m))
+        assert whole.order == sl_order_formula(n, p, k)
+        assert enumerate_group(n, m, adjacent).elements == whole.elements
+
+    @pytest.mark.parametrize("n, m", [(3, 2), (3, 4), (4, 3), (5, 9)])
+    def test_commutators_of_elementary_matrices(self, n, m):
+        # [e_ij, e_jk] = e_ij e_jk e_ij^-1 e_jk^-1 = e_ik for distinct i, j, k.
+        for i, j, k in permutations(range(1, n + 1), 3):
+            x, y = elementary_mat(i, j, 1, n, m), elementary_mat(j, k, 1, n, m)
+            commutator = mat_mul(
+                mat_mul(mat_mul(x, y, n, m), mat_inv(x, n, m), n, m),
+                mat_inv(y, n, m), n, m,
+            )
+            assert commutator == elementary_mat(i, k, 1, n, m)
 
 
 def _layer(frontier, steps, elems, cap):
@@ -321,9 +382,11 @@ class TestKernelReport:
         assert rep.all_elements_order_p
 
     def test_every_pair_is_compared(self):
+        # Each kernel element times each of the 8 kept generators; by
+        # induction on word length these products cover every pair.
         rep = kernel_of_reduction(3, 2)
-        assert rep.pairs_compared == rep.kernel_order**2 == 65536
         assert len(rep.kernel.generators) == 8
+        assert rep.products_checked == rep.kernel_order * 8 == 2048
 
     def test_corrupted_additive_map_fails(self, monkeypatch):
         honest = modgroups._additive_parts
@@ -344,12 +407,110 @@ class TestKernelReport:
         rep = kernel_of_reduction(3, 2)
         assert rep.shape_verified and rep.all_elements_order_p
         assert not rep.additive_iso_verified
-        assert rep.pairs_compared < 65536
+        assert rep.products_checked < 2048
 
     def test_every_kernel_element_squares_to_identity(self):
         rep = kernel_of_reduction(3, 2)
         for e in rep.kernel.elements:
             assert mat_mul(e, e, 3, 4) == mat_identity(3, 4)
+
+
+def _additive_all_pairs(parts, steps, identity, n, p):
+    """Test oracle: part(a b) = part(a) + part(b) mod p checked on every pair
+    of kernel elements; returns whether all passed and how many pairs were
+    compared (all unless one failed).  The row of b lists a b for every a,
+    and for b = b' s it is the step s (right multiplication by a kernel
+    generator) applied to the row of b'."""
+    m = p * p
+    elems = list(parts)
+
+    def agrees(a, b, ab):
+        got = decode(parts[ab], n, m)
+        want = (x + y for x, y in zip(decode(parts[a], n, m), decode(parts[b], n, m)))
+        return all(g == w % p for g, w in zip(got, want))
+
+    seen = {identity}
+    todo = [(identity, elems)]
+    compared = 0
+    while todo:
+        b, row = todo.pop()
+        compared += len(row)
+        if not all(agrees(a, b, ab) for a, ab in zip(elems, row)):
+            return False, compared
+        for s in steps:
+            c = s(b)
+            if c not in seen:
+                seen.add(c)
+                todo.append((c, list(map(s, row))))
+    return True, compared
+
+
+class TestAdditiveOracle:
+    """The additive model checked on generator products against the check
+    on every pair."""
+
+    n, p = 3, 2
+
+    @pytest.fixture
+    def kernel(self):
+        rep = kernel_of_reduction(self.n, self.p)
+        group = sl_group(self.n, self.p**2)
+        parts = _additive_parts(rep.kernel.elements, self.n, self.p)
+        return group, rep.kernel.generators, parts
+
+    def checks(self, kernel, parts):
+        group, gens, _ = kernel
+        by_generators = _additive_pairs(
+            parts, gens, group.right, group.identity, self.n, self.p
+        )
+        steps = [group.right(g) for g in gens]
+        by_pairs = _additive_all_pairs(parts, steps, group.identity, self.n, self.p)
+        return by_generators, by_pairs
+
+    def test_honest_map(self, kernel):
+        assert self.checks(kernel, kernel[2]) == ((True, 2048), (True, 65536))
+
+    def test_corruption_at_sixteen_elements(self, kernel):
+        # The single-entry corruption of test_corrupted_additive_map_fails
+        # (1 added to the top-left entry of a part whose entry is 0, which
+        # keeps the map injective), at each of 16 kernel elements.
+        n, m = self.n, self.p**2
+        parts = kernel[2]
+        targets = [e for e, a in parts.items() if a != 0 and decode(a, n, m)[0] == 0]
+        assert len(targets[::8]) == 16
+        for e in targets[::8]:
+            bad = dict(parts)
+            bad[e] += m ** (n * n - 1)
+            assert len(set(bad.values())) == len(bad)
+            (ok, checked), (ok_pairs, compared) = self.checks(kernel, bad)
+            assert not ok and checked < 2048
+            assert not ok_pairs and compared < 65536
+
+    def test_identity_part_must_be_zero(self, kernel):
+        # With no generators (a trivial kernel) only part(1) = 0 is left.
+        group, gens, parts = kernel
+        for part, verdict in ((0, True), (1, False)):
+            check = ({group.identity: part}, [], group.right, group.identity, 3, 2)
+            assert _additive_pairs(*check) == (verdict, 0)
+
+
+def _reduction_by_projection(n, p):
+    """Test oracle: reduce every element of SL_n(Z/p^2) mod p; the kernel is
+    the sorted elements that reduce to I, the image the set of reductions."""
+    elements = sl_group(n, p * p).elements
+    images = list(map(_projection(n, p * p, p), elements))
+    ident = mat_identity(n, p)
+    kernel = tuple(e for e, r in zip(elements, images) if r == ident)
+    return kernel, len(set(images))
+
+
+class TestReductionOracle:
+    @pytest.mark.parametrize("n, p", [(2, 2), (2, 3), (2, 5), (3, 2)])
+    def test_membership_agrees_with_projecting_every_element(self, n, p):
+        kernel, image_order = _reduction(n, p)
+        assert (kernel, image_order) == _reduction_by_projection(n, p)
+        assert len(kernel) == p ** (n * n - 1)
+        assert image_order == sl_order_formula(n, p)
 
 
 class TestSimplicity:
@@ -569,3 +730,86 @@ def test_mod9_closure_spans_kernel():
         for r in range(1, 4):
             if k != r:
                 assert closure_spans_kernel_additively(3, 3, (k, r))
+
+
+def _check(line):
+    """Replay one finite-group check, which must pass; return its record."""
+    (record,) = run_text(f"rank 3\ncheck {line}\n").records
+    assert record.status == "pass", record
+    return record
+
+
+class TestWorkCounts:
+    """Row-map applications per finite-group check, from cold caches,
+    counted by wrapping ``_row_map``: a check that slid back to a sweep over
+    pairs or over the elements of a larger group would fail here."""
+
+    CACHES = ("sl_group", "psl_group", "_reduction", "_space", "_projection")
+
+    @pytest.fixture
+    def applied(self, monkeypatch):
+        for name in self.CACHES:
+            getattr(modgroups, name).cache_clear()
+        count = [0]
+        honest = modgroups._row_map
+
+        def counting(tables, base):
+            apply = honest(tables, base)
+
+            def counted(x):
+                count[0] += 1
+                return apply(x)
+
+            return counted
+
+        monkeypatch.setattr(modgroups, "_row_map", counting)
+        yield count
+        for name in self.CACHES:  # drop the tables built with the counter
+            getattr(modgroups, name).cache_clear()
+
+    @staticmethod
+    def inside(monkeypatch, applied, name):
+        """Applications made inside each call of ``modgroups.<name>``."""
+        made = []
+        honest = getattr(modgroups, name)
+
+        def wrapper(*args, **kwargs):
+            before = applied[0]
+            result = honest(*args, **kwargs)
+            made.append(applied[0] - before)
+            return result
+
+        monkeypatch.setattr(modgroups, name, wrapper)
+        return made
+
+    def test_kernel_check_multiplies_by_generators(self, applied, monkeypatch):
+        made = self.inside(monkeypatch, applied, "_additive_pairs")
+        record = _check("kernel(3, 2) == 256")
+        assert record.detail == (
+            "kernel 256, image 168, group 43008, additive model verified"
+        )
+        assert made == [256 * 8]
+
+    def test_class_orbits_act_by_the_kept_generators(self, applied, monkeypatch):
+        made = self.inside(monkeypatch, applied, "conjugacy_classes")
+        _check("simple(psl, 3, 3) == true")
+        assert len(psl_group(3, 3).generators) == 4
+        assert made == [2 * 4 * 5616]  # two row maps per conjugation
+
+    def test_one_center_pass_per_group(self, applied):
+        _check("order(sl, 3, 3) == 5616")
+        group = sl_group(3, 3)
+        # One pass conjugates each element by the generators until one moves
+        # it (all of them for a central element), two row maps each.
+        one_pass = 0
+        for z in group.elements:
+            for tried, g in enumerate(group.generators, 1):
+                if mat_mul(g, z, 3, 3) != mat_mul(z, g, 3, 3):
+                    break
+            one_pass += 2 * tried
+        before = applied[0]
+        _check("center(sl, 3, 3) == 1")
+        assert applied[0] - before == one_pass
+        before = applied[0]
+        _check("order(psl, 3, 3) == 5616")
+        assert applied[0] == before

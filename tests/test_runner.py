@@ -62,6 +62,15 @@ class TestRunOutcomes:
         assert report.records[0].status == "skipped"
         assert report.ok()
 
+    def test_enumeration_cap_is_an_error_record(self):
+        # SL_4(Z/3) has 12,130,560 elements; the default cap of 10^6 stops
+        # the enumeration at about 90 MB of memory instead of about 0.8 GB.
+        (record,) = run_text("rank 3\ncheck order(sl, 4, 3) == 12130560\n").records
+        assert record.status == "error"
+        assert record.detail == (
+            "EnumerationCapError: closure exceeded cap of 1000000 elements"
+        )
+
     def test_json_schema(self):
         report = run_text("rank 2\nassert id == id")
         payload = json.loads(report.to_json())
