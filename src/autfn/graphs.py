@@ -515,3 +515,7 @@ def pair_swap_aut(graph: Graph) -> GraphAut:
             emap[name] = (name, False)
     vmap = {v: v for v in graph.vertices}
     return GraphAut(graph, vmap, emap)
+
+
+# The scenario language's built-in graph automorphisms, by keyword.
+SYMMETRIES = {"rotation": rotation_aut, "pairswap": pair_swap_aut}

@@ -193,44 +193,17 @@ def _transpose(a: Mat, n: int, m: int) -> Mat:
     return encode((e[j * n + i] for i in range(n) for j in range(n)), m)
 
 
-def _det(e: Sequence[int], n: int, m: int) -> int:
-    """Determinant of row-major entries mod m by cofactor expansion."""
-    if n == 1:
-        return e[0] % m
-    total = 0
-    for j in range(n):
-        if e[j] == 0:
-            continue
-        minor = [e[r * n + c] for r in range(1, n) for c in range(n) if c != j]
-        cof = _det(minor, n - 1, m)
-        total += (e[j] * cof) if j % 2 == 0 else (-e[j] * cof)
-    return total % m
-
-
-def mat_det(a: Mat, n: int, m: int) -> int:
-    """Determinant mod m by cofactor expansion; n stays desk-sized."""
-    return _det(decode(a, n, m), n, m)
-
-
-def _unit_inverse(d: int, m: int) -> int:
-    d %= m
-    for x in range(1, m):
-        if (d * x) % m == 1:
-            return x
-    raise ValueError(f"{d} is not a unit mod {m}")
-
-
 def mat_inv(a: Mat, n: int, m: int) -> Mat:
-    """Adjugate divided by the determinant; requires det to be a unit."""
-    e = decode(a, n, m)
-    dinv = _unit_inverse(_det(e, n, m), m)
-    out = []
-    for i in range(n):
-        for j in range(n):
-            minor = [e[r * n + c] for r in range(n) if r != j for c in range(n) if c != i]
-            sign = 1 if (i + j) % 2 == 0 else -1
-            out.append(sign * _det(minor, n - 1, m) * dinv)
-    return encode(out, m)
+    """a^-1, read off the row products of a: row i of a^-1 is the row r with
+    r a = e_i, and there is one such r for each i exactly when a is
+    invertible.  Raises ValueError when a is singular."""
+    space = _space(n, m)
+    row_of = {v: r for r, v in enumerate(space.row_products(a))}
+    try:
+        rows = [row_of[e_i] for e_i in space.place]
+    except KeyError:
+        raise ValueError(f"matrix is singular mod {m}") from None
+    return sum(r * w for r, w in zip(rows, space.row_place))
 
 
 def mat_pow(a: Mat, k: int, n: int, m: int) -> Mat:
@@ -413,7 +386,7 @@ def enumerate_group(
     0.8 GB.
     """
     for g in generators:
-        _unit_inverse(mat_det(g, n, modulus), modulus)  # raises if singular
+        mat_inv(g, n, modulus)  # raises if singular
     space = _space(n, modulus)
     elems, kept = _closure(list(generators), space.right, mat_identity(n, modulus), cap)
     return FiniteMatrixGroup(n, modulus, elems, kept)
@@ -778,7 +751,7 @@ def closure_spans_kernel_additively(n: int, p: int, seed_pos: tuple[int, int]) -
     for vec in map(additive, sorted(seen)):
         for b, piv in zip(basis, pivots):
             if vec[piv] != 0:
-                scale = vec[piv] * _unit_inverse(b[piv], p)
+                scale = vec[piv] * pow(b[piv], -1, p)
                 vec = [(x - scale * y) % p for x, y in zip(vec, b)]
         nz = next((i for i, x in enumerate(vec) if x != 0), None)
         if nz is not None:

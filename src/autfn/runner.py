@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from . import modgroups
 from .endos import (
@@ -22,8 +22,8 @@ from .endos import (
     power_order,
 )
 from .graphs import (
-    EdgePath, EdgeStep, Graph, GraphAut, induced_endo, induced_out_rep,
-    pair_swap_aut, presentation, rotation_aut,
+    SYMMETRIES, EdgePath, EdgeStep, Graph, GraphAut, induced_endo,
+    induced_out_rep, presentation,
 )
 from .matrices import (
     IntMatrix, abelianize, congruence_level_member, det, elementary,
@@ -32,9 +32,9 @@ from .matrices import (
 from .scenario import (
     Assertion, AutDeclExpr, AutDeclImages, AutExpr, AutIdent, AutInduced,
     AutName, AutNamedGen, AutPow, AutProd, BasisDecl, CheckStmt, ConstDecl,
-    GautBlockDecl, GautBuiltinDecl, GensDecl, GraphBlockDecl, GraphCtorDecl,
-    MatLit, NoteStmt, ParseError, PathLit, RankDecl, Scenario, WordDecl,
-    WordLit, parse_scenario,
+    GautBlockDecl, GautBuiltinDecl, GenRef, GensDecl, GraphBlockDecl,
+    GraphCtorDecl, MatLit, NoteStmt, ParseError, PathLit, RankDecl, Scenario,
+    WordDecl, WordLit, parse_scenario,
 )
 from .words import Word, format_word, reduce as reduce_word
 
@@ -97,6 +97,22 @@ class _DefinitionError(Exception):
     """A definition failed; dependents report this as their cause."""
 
 
+def _expand(atoms: tuple, step: Callable) -> list:
+    """``step(item, k > 0)``, |k| times, for each atom ``(item, k)`` of a literal."""
+    letters: list = []
+    for item, k in atoms:
+        letter = step(item, k > 0)
+        if k == 1 or k == -1:  # most atoms; append is cheaper than extend
+            letters.append(letter)
+        else:
+            letters.extend([letter] * abs(k))
+    return letters
+
+
+def _signed_index(ref: GenRef, forward: bool) -> int:
+    return ref.index if forward else -ref.index
+
+
 def _product(values: list[Endomorphism]) -> Endomorphism:
     """The written product of evaluated factors, folded from the left."""
     out = values[0]
@@ -111,7 +127,6 @@ class Evaluator:
         self.include_large = include_large
         self.rank = scenario.rank
         self.layout = scenario.layout
-        self.words: dict[str, Word] = {}
         self.auts: dict[str, Endomorphism] = {}
         self.graphs: dict[str, Graph] = {}
         self.gauts: dict[str, GraphAut] = {}
@@ -124,15 +139,10 @@ class Evaluator:
     # value construction
 
     def word_of(self, lit: WordLit) -> Word:
-        letters: list[int] = []
-        for ref, exp in lit.atoms:
-            letters.extend([ref.index if exp > 0 else -ref.index] * abs(exp))
-        return reduce_word(letters, self.rank)
+        return reduce_word(_expand(lit.atoms, _signed_index), self.rank)
 
     def path_of(self, lit: PathLit, graph: Graph, fallback_start: str) -> EdgePath:
-        steps: list[EdgeStep] = []
-        for edge, exp in lit.atoms:
-            steps.extend([EdgeStep(edge, exp > 0)] * abs(exp))
+        steps = _expand(lit.atoms, EdgeStep)
         if not steps:
             return EdgePath(graph, fallback_start, ())
         src, dst = graph.endpoints(steps[0].edge)
@@ -254,7 +264,7 @@ class Evaluator:
     def build_gaut(self, stmt: GautBuiltinDecl | GautBlockDecl) -> GraphAut:
         graph = self.graphs[stmt.graph]
         if isinstance(stmt, GautBuiltinDecl):
-            return rotation_aut(graph) if stmt.kind == "rotation" else pair_swap_aut(graph)
+            return SYMMETRIES[stmt.kind](graph)
         edge_map: dict[str, tuple[str, bool]] = {
             name: (name, False) for name, _, _ in graph.edges
         }
@@ -299,14 +309,12 @@ class Evaluator:
         return ReplayReport(self.records)
 
     def exec_statement(self, stmt, anchor: str) -> None:
-        if isinstance(stmt, (RankDecl, ConstDecl, GensDecl, NoteStmt)):
+        # No form refers to a declared word, so it has nothing to evaluate.
+        if isinstance(stmt, (RankDecl, ConstDecl, GensDecl, WordDecl, NoteStmt)):
             if isinstance(stmt, NoteStmt):
                 self.records.append(
                     Record(self.scenario.name, stmt.pretty(), NOTE, stmt.text, anchor)
                 )
-            return
-        if isinstance(stmt, WordDecl):
-            self.words[stmt.name] = self.word_of(stmt.value)
             return
         if isinstance(stmt, AutDeclExpr):
             self.auts[stmt.name] = self.aut_of(stmt.expr)
@@ -426,10 +434,7 @@ class Evaluator:
             return Record(name, text, PASS if ok else FAIL, detail, anchor)
 
         def pick_group(kind, n, mod):
-            if kind not in ("sl", "psl"):
-                raise ValueError(f"unknown group family {kind!r}; use sl or psl")
-            builder = modgroups.psl_group if kind == "psl" else modgroups.sl_group
-            return builder(int(n), int(mod))
+            return (modgroups.psl_group if kind == "psl" else modgroups.sl_group)(n, mod)
 
         fn = stmt.fn
         if fn == "order":
@@ -444,7 +449,7 @@ class Evaluator:
             want = stmt.expected[0] == "true"
             return verdict(got == want, f"simple: {got}")
         if fn == "kernel":
-            n, p = (int(a) for a in stmt.args)
+            n, p = stmt.args
             report = modgroups.kernel_of_reduction(n, p)
             structural = (
                 report.shape_verified
@@ -460,14 +465,14 @@ class Evaluator:
                 f"{'verified' if report.additive_iso_verified else 'FAILED'}",
             )
         if fn == "closure_kernel":
-            n, p, power = (int(a) for a in stmt.args)
+            n, p, power = stmt.args
             got = modgroups.closure_equals_reduction_kernel(n, p, power)
             return verdict(
                 got == (stmt.expected[0] == "true"),
                 f"all off-diagonal seeds agree: {got}",
             )
         if fn == "closure_span":
-            n, p = (int(a) for a in stmt.args)
+            n, p = stmt.args
             results = []
             for kk in range(1, n + 1):
                 for rr in range(1, n + 1):
@@ -481,7 +486,7 @@ class Evaluator:
                 f"spans full trace-zero space for all seeds: {got}",
             )
         if fn == "splitting":
-            n, p = (int(a) for a in stmt.args)
+            n, p = stmt.args
             pair = modgroups.load_generating_pair(modulus=p)
             result = modgroups.splitting_search(pair, n, p)
             got = "found" if result.found else "none"
@@ -493,12 +498,12 @@ class Evaluator:
                 detail += f"; section lifts {list(wa)} and {list(wb)}"
             return verdict(got == stmt.expected[0], detail)
         if fn == "splitting_fixture":
-            n, p = (int(a) for a in stmt.args)
+            n, p = stmt.args
             result = modgroups.product_section_fixture(n, p)
             got = "found" if result.found else "none"
             return verdict(got == stmt.expected[0], f"pairs tried {result.pairs_tried}")
         if fn == "subreps":
-            n = int(stmt.args[0])
+            n = stmt.args[0]
             scan = modgroups.invariant_subreps(n)
             want = tuple(str(v) for v in stmt.expected)
             return verdict(
@@ -506,7 +511,7 @@ class Evaluator:
                 f"classification {scan.classification}, dims {scan.span_dims}",
             )
         if fn == "obstruction":
-            n = int(stmt.args[0])
+            n = stmt.args[0]
             try:
                 report = modgroups.split_obstruction(n)
             except ValueError as exc:

@@ -4,12 +4,22 @@ A scenario is a flat sequence of statements: declarations (rank or generator
 layout, constants, words, automorphisms, graphs, graph automorphisms, bases)
 followed by assertions and finite-group checks.  Parsing is LL(1) with
 longest-match lexing; every diagnostic carries line/column and the expected
-token set.  Name resolution and rank bounds are checked at parse time, so a
-parsed scenario is internally consistent and evaluation can only fail on
-mathematical grounds (for example a non-basis change of coordinates).
+token set.  Name resolution, rank bounds and the bounds of finite-group check
+arguments (a family sl or psl, a size n >= 1, a modulus >= 2) are checked at
+parse time, so a parsed scenario is internally consistent and evaluation can
+only fail on mathematical grounds (for example a non-basis change of
+coordinates).
 
-Word literals use the shared syntax (``x3``, ``x3^-1``, ``x3^2``, ``e``);
-generator layouts let indexed families like ``x(2,1)`` stand for flattened
+The lexer reads one pattern (:data:`_TOKEN_RE`).  Identifiers are ASCII
+letters, digits and underscores, with inner hyphens; an integer is decimal
+digits with an optional leading ``-`` (``\d``, so a decimal digit of another
+script, such as U+0663, reads as its value); a string ends on its own line; any
+other character, a non-ASCII letter or a superscript digit for instance, is
+an error at its line and column.
+
+Word and edge-path literals share one rule (:meth:`Parser.parse_atoms`):
+``e``, or atoms ``item`` / ``item^k`` with k != 0, as in ``x3 x2^-1``.
+Generator layouts let indexed families like ``x(2,1)`` stand for flattened
 generator positions, earlier dimensions varying fastest.
 """
 
@@ -22,15 +32,15 @@ from math import prod
 from typing import Callable, Optional, TypeVar, Union
 
 from .endos import NAMED_KINDS
-from .graphs import CONSTRUCTORS, Graph
+from .graphs import CONSTRUCTORS, SYMMETRIES, Graph
 
 KEYWORDS = {
     "scenario", "rank", "const", "gens", "word", "aut", "graph", "gaut",
     "basis", "assert", "check", "note", "on", "at", "delta", "induced",
     "basepoint", "id", "e", "order", "outorder", "unbounded", "det", "matrix",
     "mod", "level", "torelli", "inner", "witness", "not", "fixes", "maps",
-    "to", "elementary", "vertex", "edge", "loop", "rotation", "pairswap",
-} | set(CONSTRUCTORS)
+    "to", "elementary", "vertex", "edge", "loop",
+} | set(CONSTRUCTORS) | set(SYMMETRIES)
 
 # Named automorphism constructors; also unavailable as user identifiers.
 AUT_CONSTRUCTORS = set(NAMED_KINDS)
@@ -38,6 +48,12 @@ AUT_CONSTRUCTORS = set(NAMED_KINDS)
 MAX_CONSTRUCTOR_SIZE = 10_000
 
 T = TypeVar("T")
+
+# The error for a word or path literal with no atoms, and its expected token.
+_MISSING_LITERAL = {
+    "word": ("expected a word literal", ("word",)),
+    "path": ("expected an edge path", ("edge path",)),
+}
 
 PUNCT = (
     "->", "==", "!=", "..", "{", "}", "(", ")", "[", "]",
@@ -64,15 +80,23 @@ class Token:
     col: int
 
 
-# A hyphen stays inside an identifier only when flanked by word characters,
-# so "a -> b" and "x^-1" lex unchanged while "rose-five" is one name.
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*")
-_INT_RE = re.compile(r"-?\d+")
+# Every piece of scenario text, tried in this order at each position.  An
+# integer is signed only when a digit follows the "-", so "->" stays one
+# token; a hyphen stays inside an identifier only when flanked by word
+# characters, so "a -> b" and "x^-1" lex unchanged while "rose-five" is one
+# name; punctuation is longest first, so "->" is not "-" then ">".  A
+# character that starts none of these is OTHER, an error.
+_TOKEN_RE = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
+    ("NEWLINE", r"\n"),
+    ("BLANK", r"[ \t\r]+"),
+    ("COMMENT", r"#[^\n]*"),
+    ("STRING", r'"[^"\n]*"'),
+    ("INT", r"-?\d+"),
+    ("IDENT", r"[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*"),
+    ("PUNCT", "|".join(map(re.escape, sorted(PUNCT, key=len, reverse=True)))),
+    ("OTHER", r"."),
+)))
 _ANCHOR_RE = re.compile(r"#\s*anchor:\s*(.+?)\s*$")
-# Longest first, so "->" is one token and not "-" then ">".
-_PUNCT_RE = re.compile(
-    "|".join(re.escape(p) for p in sorted(PUNCT, key=len, reverse=True))
-)
 
 
 def lex(text: str) -> tuple[list[Token], list[str]]:
@@ -80,66 +104,28 @@ def lex(text: str) -> tuple[list[Token], list[str]]:
     tokens: list[Token] = []
     anchors: list[str] = []
     line = 1
-    col = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line_start = 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "BLANK":
+            continue
+        if kind == "NEWLINE":
             line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            j = text.find("\n", i)
-            j = n if j < 0 else j
-            m = _ANCHOR_RE.match(text[i:j])
-            if m:
-                anchors.append(m.group(1))
-            col += j - i
-            i = j
-            continue
-        if ch == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
-                raise ParseError("unterminated string", line, col)
-            tokens.append(Token("STRING", text[i + 1 : j], line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch == "-" and i + 1 < n and text[i + 1].isdigit():
-            m2 = _INT_RE.match(text, i)
-            assert m2 is not None
-            tokens.append(Token("INT", m2.group(), line, col))
-            col += m2.end() - i
-            i = m2.end()
-            continue
-        if ch.isdigit():
-            m2 = _INT_RE.match(text, i)
-            assert m2 is not None
-            tokens.append(Token("INT", m2.group(), line, col))
-            col += m2.end() - i
-            i = m2.end()
-            continue
-        if ch.isalpha() or ch == "_":
-            m2 = _IDENT_RE.match(text, i)
-            assert m2 is not None
-            tokens.append(Token("IDENT", m2.group(), line, col))
-            col += m2.end() - i
-            i = m2.end()
-            continue
-        m2 = _PUNCT_RE.match(text, i)
-        if m2 is None:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-        p = m2.group()
-        tokens.append(Token("PUNCT", p, line, col))
-        i += len(p)
-        col += len(p)
-    tokens.append(Token("EOF", "", line, col))
+            line_start = m.end()
+        elif kind == "COMMENT":
+            anchor = _ANCHOR_RE.match(m.group())
+            if anchor:
+                anchors.append(anchor.group(1))
+        elif kind == "OTHER":
+            ch = m.group()
+            message = "unterminated string" if ch == '"' else f"unexpected character {ch!r}"
+            raise ParseError(message, line, m.start() - line_start + 1)
+        else:
+            value = m.group()
+            tokens.append(Token(
+                kind, value[1:-1] if kind == "STRING" else value, line, m.start() - line_start + 1
+            ))
+    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
     return tokens, anchors
 
 
@@ -374,7 +360,7 @@ class GraphBlockDecl:
 @dataclass(frozen=True)
 class GautBuiltinDecl:
     name: str
-    kind: str  # rotation | pairswap
+    kind: str  # a key of graphs.SYMMETRIES
     graph: str
 
     def pretty(self) -> str:
@@ -564,10 +550,27 @@ class Scenario:
 
 # --- parser ------------------------------------------------------------------
 
+# What each kind of check argument must be, and a test of a value for it.
+# The bounds are those of ``autfn closure``; ``splitting`` reads the bundled
+# 3 x 3 generating pair, so its size is that of the pair.
+_ARG_KINDS: dict[str, tuple[str, Callable[[int | str], bool]]] = {
+    "family": ("a group family, sl or psl", lambda v: v in ("sl", "psl")),
+    "size": ("a size n >= 1", lambda v: isinstance(v, int) and v >= 1),
+    "modulus": ("a modulus >= 2", lambda v: isinstance(v, int) and v >= 2),
+    "fixture": ("the size 3 of the fixture pair", lambda v: v == 3),
+    "integer": ("an integer", lambda v: isinstance(v, int)),
+}
 _CHECK_FNS = {
-    "order": 3, "center": 3, "simple": 3, "kernel": 2, "closure_kernel": 3,
-    "closure_span": 2, "splitting": 2, "splitting_fixture": 2, "subreps": 1,
-    "obstruction": 1,
+    "order": ("family", "size", "modulus"),
+    "center": ("family", "size", "modulus"),
+    "simple": ("family", "size", "modulus"),
+    "kernel": ("size", "modulus"),
+    "closure_kernel": ("size", "modulus", "integer"),
+    "closure_span": ("size", "modulus"),
+    "splitting": ("fixture", "modulus"),
+    "splitting_fixture": ("size", "modulus"),
+    "subreps": ("size",),
+    "obstruction": ("size",),
 }
 
 
@@ -871,56 +874,52 @@ class Parser:
             return GenRef(str(value), None, value)
         return self.parse_genref()
 
-    def _word_atom_ahead(self) -> bool:
-        tok = self.peek()
-        if tok.kind != "IDENT":
-            return False
-        if tok.value == "e":
-            return True
-        if tok.value in KEYWORDS or tok.value in AUT_CONSTRUCTORS:
-            return False
-        return True
+    def parse_atoms(
+        self, item: Callable[[], Optional[T]], literal: str
+    ) -> tuple[tuple[T, int], ...]:
+        """``e``, or one or more ``item[^k]`` with k != 0.  ``item`` reads one
+        item, or returns None, reading nothing, where the literal stops;
+        ``literal`` names the literal ("word" or "path") in diagnostics."""
+        if self.at_keyword("e"):
+            self.next()
+            return ()
+        atoms: list[tuple[T, int]] = []
+        while (value := item()) is not None:
+            exp = 1
+            if self.at_punct("^"):
+                self.next()
+                exp = self.expect_int()
+                if exp == 0:
+                    raise self.error(f"zero exponent in {literal} literal")
+            atoms.append((value, exp))
+        if not atoms:
+            raise self.error(*_MISSING_LITERAL[literal])
+        return tuple(atoms)
 
     def parse_word_lit(self) -> WordLit:
-        if self.at_keyword("e"):
-            self.next()
-            return WordLit(())
-        atoms: list[tuple[GenRef, int]] = []
-        while self._word_atom_ahead():
-            ref = self.parse_genref()
-            exp = 1
-            if self.at_punct("^"):
-                self.next()
-                exp = self.expect_int()
-                if exp == 0:
-                    raise self.error("zero exponent in word literal")
-            atoms.append((ref, exp))
-        if not atoms:
-            raise self.error("expected a word literal", ("word",))
-        return WordLit(tuple(atoms))
+        """A word literal.  Any name but a reserved one other than ``e`` is
+        read as a generator, so an unknown name is an error."""
+
+        def generator() -> Optional[GenRef]:
+            tok = self.peek()
+            if tok.kind != "IDENT" or tok.value != "e" and (
+                tok.value in KEYWORDS or tok.value in AUT_CONSTRUCTORS
+            ):
+                return None
+            return self.parse_genref()
+
+        return WordLit(self.parse_atoms(generator, "word"))
 
     def parse_path_lit(self, graph: Graph) -> PathLit:
-        if self.at_keyword("e"):
-            self.next()
-            return PathLit(())
-        atoms: list[tuple[str, int]] = []
-        while True:
+        """An edge path in ``graph``; it stops at a name that is not an edge."""
+
+        def edge() -> Optional[str]:
             tok = self.peek()
-            if tok.kind != "IDENT" or tok.value in KEYWORDS:
-                break
-            if tok.value not in graph.ends:
-                break
-            self.next()
-            exp = 1
-            if self.at_punct("^"):
-                self.next()
-                exp = self.expect_int()
-                if exp == 0:
-                    raise self.error("zero exponent in path literal")
-            atoms.append((tok.value, exp))
-        if not atoms:
-            raise self.error("expected an edge path", ("edge path",))
-        return PathLit(tuple(atoms))
+            if tok.kind != "IDENT" or tok.value not in graph.ends:
+                return None
+            return self.next().value
+
+        return PathLit(self.parse_atoms(edge, "path"))
 
     # automorphism declarations and expressions
 
@@ -1127,8 +1126,8 @@ class Parser:
         if self.at_punct("="):
             self.next()
             kind_tok = self.peek()
-            if kind_tok.kind != "IDENT" or kind_tok.value not in ("rotation", "pairswap"):
-                raise self.error("expected rotation or pairswap", ("rotation", "pairswap"))
+            if kind_tok.kind != "IDENT" or kind_tok.value not in SYMMETRIES:
+                raise self.error(f"expected {' or '.join(SYMMETRIES)}", tuple(SYMMETRIES))
             self.next()
             self.expect_keyword("on")
             graph_name, _ = self.graph_ref()
@@ -1304,12 +1303,20 @@ class Parser:
         if fn_tok.kind != "IDENT" or fn_tok.value not in _CHECK_FNS:
             raise self.error("unknown check", tuple(sorted(_CHECK_FNS)))
         self.next()
-        args = self.parse_seq(
-            lambda: self.parse_value("a check argument", consts=True), "()", (",",)
+        located = self.parse_seq(
+            lambda: (self.peek(), self.parse_value("a check argument", consts=True)),
+            "()", (",",),
         )
-        want = _CHECK_FNS[fn_tok.value]
-        if len(args) != want:
-            raise self.error(f"{fn_tok.value} takes {want} argument(s)")
+        kinds = _CHECK_FNS[fn_tok.value]
+        if len(located) != len(kinds):
+            raise self.error(f"{fn_tok.value} takes {len(kinds)} argument(s)")
+        for (tok, value), kind in zip(located, kinds):
+            what, valid = _ARG_KINDS[kind]
+            if not valid(value):
+                raise ParseError(
+                    f"{fn_tok.value} needs {what}, found {value}", tok.line, tok.col
+                )
+        args = tuple(value for _, value in located)
         self.expect_punct("==")
         if self.at_punct("["):
             expected = self.parse_seq(lambda: self.parse_value("a value"), "[]", (",",))

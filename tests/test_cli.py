@@ -46,6 +46,13 @@ class TestScenarioCommands:
         assert main(["replay", str(tmp_path)]) == 0
         assert "1 passed" in capsys.readouterr().out
 
+    def test_lint_lists_a_file_with_a_stray_character(self, tmp_path, capsys):
+        (tmp_path / "bad.scn").write_text("# anchor: x\nrank 2\nassert order P(1,2) == ²\n")
+        assert main(["lint", str(tmp_path)]) == 1
+        assert capsys.readouterr().out == (
+            "bad.scn: parse error: line 3, column 24: unexpected character '²'\n"
+        )
+
     def test_lint_bundled(self, capsys):
         assert main(["lint"]) == 0
         assert "known anchors" in capsys.readouterr().out
@@ -137,6 +144,12 @@ class TestInputErrors:
     def test_word_error_is_located_in_the_word(self, capsys):
         assert main(["apply", "--rank", "2", "P(1,2)", "x1 x3"]) == 1
         assert "'x1 x3': line 1, column 4" in self.one_line(capsys)
+
+    def test_stray_character_in_an_expression(self, capsys):
+        assert main(["compose", "--rank", "2", "L(1,é)"]) == 1
+        assert self.one_line(capsys) == (
+            "'L(1,é)': line 1, column 5: unexpected character 'é'\n"
+        )
 
     def test_trailing_text_is_rejected(self, capsys):
         assert main(["compose", "--rank", "2", "P(1,2) P(1,2)"]) == 1

@@ -1,5 +1,6 @@
 import random
 from itertools import islice, permutations, product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +34,31 @@ class TestArithmetic:
         gi = mat_inv(g, 3, 4)
         assert mat_mul(g, gi, 3, 4) == mat_identity(3, 4)
 
+    def test_inverse_of_a_one_by_one_matrix(self):
+        assert mat_inv(encode([1], 5), 1, 5) == encode([1], 5)
+        assert mat_inv(encode([2], 5), 1, 5) == encode([3], 5)
+        with pytest.raises(ValueError, match="singular"):
+            mat_inv(encode([2], 4), 1, 4)
+
+    @pytest.mark.parametrize(
+        "n, m", [(2, 3), (2, 4), (2, 9), (3, 2), (3, 4), (3, 9), (4, 3), (5, 2)]
+    )
+    def test_inverse_agrees_with_the_adjugate(self, n, m):
+        rng = random.Random(10 * n + m)
+        gens = sl_generators(n, m)
+        for _ in range(40):
+            a = rng.randrange(m ** (n * n))
+            if rng.random() < 0.5:  # an invertible one, whatever m
+                a = mat_identity(n, m)
+                for _ in range(6):
+                    a = mat_mul(a, rng.choice(gens), n, m)
+            want = _adjugate_inverse(a, n, m)
+            if want is None:
+                with pytest.raises(ValueError, match="singular"):
+                    mat_inv(a, n, m)
+            else:
+                assert mat_inv(a, n, m) == want
+
     def test_pow(self):
         e = elementary_mat(2, 1, 1, 3, 5)
         assert mat_pow(e, 5, 3, 5) == mat_identity(3, 5)
@@ -48,6 +74,38 @@ class TestArithmetic:
         # (1, 4) at n = 3 would otherwise land on entry (2, 1).
         with pytest.raises(ValueError, match="out of range for n=3"):
             elementary_mat(k, r, 1, 3, 4)
+
+
+def _cofactor_det(e, n, m):
+    """Test oracle: determinant of row-major entries mod m by cofactor expansion."""
+    if n == 1:
+        return e[0] % m
+    return sum(
+        (-1) ** j * e[j]
+        * _cofactor_det([e[r * n + c] for r in range(1, n) for c in range(n) if c != j], n - 1, m)
+        for j in range(n)
+    ) % m
+
+
+def _adjugate_inverse(a, n, m):
+    """Test oracle for n >= 2: the adjugate over the determinant, or None when
+    the determinant is not a unit mod m."""
+    e = decode(a, n, m)
+    d = _cofactor_det(e, n, m)
+    if gcd(d, m) != 1:
+        return None
+    dinv = pow(d, -1, m)
+    return encode(
+        [
+            (-1) ** (i + j) * dinv * _cofactor_det(
+                [e[r * n + c] for r in range(n) if r != j for c in range(n) if c != i],
+                n - 1, m,
+            )
+            for i in range(n)
+            for j in range(n)
+        ],
+        m,
+    )
 
 
 def _naive_product(a, b, n, m):

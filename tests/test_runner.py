@@ -260,6 +260,15 @@ class TestReplayAll:
         ]
         assert "line 2, column 11" in report.records[1].detail
 
+    def test_stray_character_is_one_parse_error(self, tmp_path):
+        (tmp_path / "a.scn").write_text("rank 1\nword é = x1\n")
+        (tmp_path / "b.scn").write_text("rank 2\nassert P(1,2) * P(1,2) == id\n")
+        report = replay_all(tmp_path)
+        assert [(r.scenario, r.assertion, r.status, r.detail) for r in report.records] == [
+            ("a", "(parse)", "error", "line 2, column 6: unexpected character 'é'"),
+            ("b", "assert P(1, 2) * P(1, 2) == id", "pass", ""),
+        ]
+
 
 class TestLint:
     def test_bundled_corpus_clean(self):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from autfn.endos import NAMED_KINDS
 from autfn.graphs import CONSTRUCTORS, Graph
 from autfn.runner import bundled_corpus_dir
-from autfn.scenario import KEYWORDS, PUNCT, ParseError, parse_scenario
+from autfn.scenario import KEYWORDS, PUNCT, ParseError, lex, parse_scenario
 
 
 class TestParseBasics:
@@ -53,6 +53,37 @@ class TestParseBasics:
     def test_anchor_collected(self):
         s = parse_scenario("# anchor: some-label\nrank 2")
         assert s.anchor == "some-label"
+
+
+class TestLexing:
+    @pytest.mark.parametrize(
+        "text, where, char",
+        [
+            ("rank 1\nword é = x1", (2, 6), "é"),
+            ("rank 2\nassert order P(1,2) == ²", (2, 24), "²"),
+            ("rank 2\naut f { x1 -> x2² }", (2, 17), "²"),
+            ("rank 2\nassert id == id @", (2, 17), "@"),
+        ],
+    )
+    def test_stray_character_is_located(self, text, where, char):
+        with pytest.raises(ParseError) as exc:
+            parse_scenario(text)
+        assert (exc.value.line, exc.value.col) == where
+        assert exc.value.message == f"unexpected character {char!r}"
+
+    def test_string_ends_on_its_line(self):
+        with pytest.raises(ParseError) as exc:
+            parse_scenario('rank 2\nnote "first\nsecond"\nassert det P(1,2) == -1 @')
+        assert (exc.value.line, exc.value.col) == (2, 6)
+        assert exc.value.message == "unterminated string"
+
+    def test_signed_integers_and_arrows(self):
+        tokens, _ = lex("x1^-1 -> a-b - 2 -3")
+        assert [(t.kind, t.value) for t in tokens] == [
+            ("IDENT", "x1"), ("PUNCT", "^"), ("INT", "-1"), ("PUNCT", "->"),
+            ("IDENT", "a-b"), ("PUNCT", "-"), ("INT", "2"), ("INT", "-3"), ("EOF", ""),
+        ]
+        assert [t.col for t in tokens] == [1, 3, 4, 7, 10, 14, 16, 18, 20]
 
 
 class TestLayouts:
@@ -203,11 +234,37 @@ class TestCheckStatements:
         with pytest.raises(ParseError, match="argument"):
             parse_scenario("rank 3\ncheck order(3) == 168")
 
+    @pytest.mark.parametrize(
+        "call, col, message",
+        [
+            ("order(sl, 3, 0)", 20, "order needs a modulus >= 2, found 0"),
+            ("order(sl, -2, 3)", 17, "order needs a size n >= 1, found -2"),
+            ("kernel(3, 1)", 17, "kernel needs a modulus >= 2, found 1"),
+            ("order(gl, 3, 2)", 13, "order needs a group family, sl or psl, found gl"),
+            ("splitting(4, 2)", 17, "splitting needs the size 3 of the fixture pair, found 4"),
+            ("kernel(sl, 2)", 14, "kernel needs a size n >= 1, found sl"),
+        ],
+    )
+    def test_argument_out_of_bounds_is_located(self, call, col, message):
+        with pytest.raises(ParseError) as exc:
+            parse_scenario(f"rank 3\ncheck {call} == 1")
+        assert (exc.value.line, exc.value.col, exc.value.message) == (2, col, message)
+
+    def test_constant_arguments_are_bounded_by_value(self):
+        s = parse_scenario("rank 3\nconst Q = 2\ncheck order(psl, 3, Q) == 168")
+        assert s.statements[2].args == ("psl", 3, 2)
+        with pytest.raises(ParseError, match="modulus >= 2, found 1"):
+            parse_scenario("rank 3\nconst Q = 1\ncheck order(psl, 3, Q) == 168")
+
 
 _TOKEN = re.compile(r"-?\d+|[A-Za-z_][\w-]*|->|==|!=|\.\.|\S")
 _ARGUMENT = re.compile(r"(?<=[(,])\s*-?\d+")  # an integer argument of a call
 _CORPUS = [path.read_text() for path in sorted(bundled_corpus_dir().glob("*.scn"))]
 _VOCAB = sorted(KEYWORDS | set(PUNCT))
+# Letters and digits outside ASCII: a non-ASCII letter, a superscript digit,
+# which Python calls a digit but no integer reads, and an Arabic-Indic digit.
+_FOREIGN = ["é", "²", "٣"]
+_STRING = re.compile(r'"[^"\n]*"')
 
 
 @st.composite
@@ -215,11 +272,26 @@ def mutated_scenarios(draw):
     """A bundled scenario with one to three edits: a token replaced by a
     keyword or punctuation, an integer argument of a call replaced by a small
     integer or by 10^9 (a graph constructor must refuse it before building),
-    a line cut short, or a keyword or punctuation inserted."""
+    a line cut short, a keyword or punctuation inserted, a non-ASCII letter or
+    digit inserted, or a quote or a newline put inside a string."""
     text = draw(st.sampled_from(_CORPUS))
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["token", "argument", "truncate", "insert"]))
-        if kind == "truncate":
+        kind = draw(st.sampled_from(
+            ["token", "argument", "truncate", "insert", "foreign", "string"]
+        ))
+        if kind == "foreign":
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(st.sampled_from(_FOREIGN)) + text[at:]
+        elif kind == "string":
+            inside = draw(st.sampled_from(['"', "\n"]))
+            spans = [m.span() for m in _STRING.finditer(text)]
+            if spans:
+                start, end = draw(st.sampled_from(spans))
+                at = draw(st.integers(start + 1, end - 1))
+                text = text[:at] + inside + text[at:]
+            else:
+                text += 'note "a' + inside + 'b"\n'
+        elif kind == "truncate":
             lines = text.split("\n")
             i = draw(st.integers(0, len(lines) - 1))
             lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
@@ -250,7 +322,14 @@ def test_mutated_scenarios_parse_or_raise_located_parse_error(text):
         assert exc.line >= 1 and exc.col >= 1
 
 
-_CHECKS = (("order", 3), ("center", 3), ("kernel", 2), ("splitting", 2), ("subreps", 1))
+# Argument kinds of some checks, and values each kind may take; the constant
+# N stands in for a value when it is declared with one of them.
+_CHECKS = (
+    ("order", ("family", "size", "modulus")), ("center", ("family", "size", "modulus")),
+    ("kernel", ("size", "modulus")), ("splitting", ("fixture", "modulus")),
+    ("subreps", ("size",)),
+)
+_ARG_VALUES = {"family": ["sl", "psl"], "size": [1, 2, 3], "modulus": [2, 3], "fixture": [3]}
 
 
 @st.composite
@@ -285,8 +364,9 @@ def generated_scenarios(draw):
                         for c in product(*(range(lo, hi + 1) for _, lo, hi in dims)))
         rank = len(gens)
         lines.append("gens " + " ".join(items))
-    if draw(st.booleans()):
-        lines.append(f"const N = {draw(st.integers(0, 9))}")
+    const = draw(st.none() | st.integers(0, 9))
+    if const is not None:
+        lines.append(f"const N = {const}")
 
     def word():
         if draw(st.integers(0, 4)) == 0:
@@ -410,10 +490,14 @@ def generated_scenarios(draw):
     ]
     for form in draw(st.lists(st.sampled_from(forms), min_size=1, max_size=6)):
         lines.append(f"assert {form()}")
-    names = ["sl", "psl"] + (["N"] if any(l.startswith("const") for l in lines) else [])
+
+    def check_arg(kind):
+        values = _ARG_VALUES[kind]
+        return pick(values + (["N"] if const in values else []))
+
     for _ in range(draw(st.integers(0, 2))):
-        fn, arity = pick(_CHECKS)
-        args = ", ".join(str(pick(names + [2, 3])) for _ in range(arity))
+        fn, kinds = pick(_CHECKS)
+        args = ", ".join(str(check_arg(kind)) for kind in kinds)
         values = [pick(["true", "found", "7", "scalars"]) for _ in range(draw(st.integers(1, 3)))]
         expected = values[0] if len(values) == 1 else f"[{', '.join(values)}]"
         lines.append(f"check {fn}({args}) == {expected}" + pick(["", " large"]))
