@@ -32,9 +32,9 @@ from .matrices import (
 from .scenario import (
     Assertion, AutDeclExpr, AutDeclImages, AutExpr, AutIdent, AutInduced,
     AutName, AutNamedGen, AutPow, AutProd, BasisDecl, CheckStmt, ConstDecl,
-    GautBlockDecl, GautBuiltinDecl, GenRef, GensDecl, GraphBlockDecl,
-    GraphCtorDecl, MatLit, NoteStmt, ParseError, PathLit, RankDecl, Scenario,
-    WordDecl, WordLit, parse_scenario,
+    GautBlockDecl, GautBuiltinDecl, GensDecl, GraphBlockDecl, GraphCtorDecl,
+    MatLit, NoteStmt, ParseError, PathLit, RankDecl, Scenario, WordDecl,
+    WordLit, parse_scenario,
 )
 from .words import Word, format_word, reduce as reduce_word
 
@@ -101,16 +101,8 @@ def _expand(atoms: tuple, step: Callable) -> list:
     """``step(item, k > 0)``, |k| times, for each atom ``(item, k)`` of a literal."""
     letters: list = []
     for item, k in atoms:
-        letter = step(item, k > 0)
-        if k == 1 or k == -1:  # most atoms; append is cheaper than extend
-            letters.append(letter)
-        else:
-            letters.extend([letter] * abs(k))
+        letters.extend([step(item, k > 0)] * abs(k))
     return letters
-
-
-def _signed_index(ref: GenRef, forward: bool) -> int:
-    return ref.index if forward else -ref.index
 
 
 def _product(values: list[Endomorphism]) -> Endomorphism:
@@ -139,7 +131,10 @@ class Evaluator:
     # value construction
 
     def word_of(self, lit: WordLit) -> Word:
-        return reduce_word(_expand(lit.atoms, _signed_index), self.rank)
+        return reduce_word(
+            _expand(lit.atoms, lambda ref, forward: ref.index if forward else -ref.index),
+            self.rank,
+        )
 
     def path_of(self, lit: PathLit, graph: Graph, fallback_start: str) -> EdgePath:
         steps = _expand(lit.atoms, EdgeStep)

@@ -4,18 +4,18 @@ A scenario is a flat sequence of statements: declarations (rank or generator
 layout, constants, words, automorphisms, graphs, graph automorphisms, bases)
 followed by assertions and finite-group checks.  Parsing is LL(1) with
 longest-match lexing; every diagnostic carries line/column and the expected
-token set.  Name resolution, rank bounds and the bounds of finite-group check
-arguments (a family sl or psl, a size n >= 1, a modulus >= 2) are checked at
-parse time, so a parsed scenario is internally consistent and evaluation can
-only fail on mathematical grounds (for example a non-basis change of
-coordinates).
+token set.  Name resolution, rank bounds and the lower bounds of finite-group
+check arguments (a family sl or psl, a size n >= 1, a modulus >= 2) are
+checked at parse time, so a parsed scenario is internally consistent.  Sizes
+have no upper bound: a check whose group is too large stops at an enumeration
+cap, or runs out of memory when its table of m^n matrix rows does not fit.
 
 The lexer reads one pattern (:data:`_TOKEN_RE`).  Identifiers are ASCII
 letters, digits and underscores, with inner hyphens; an integer is decimal
-digits with an optional leading ``-`` (``\d``, so a decimal digit of another
-script, such as U+0663, reads as its value); a string ends on its own line; any
-other character, a non-ASCII letter or a superscript digit for instance, is
-an error at its line and column.
+digits with an optional leading ``-``, where a decimal digit of another script,
+such as U+0663, reads as its value; a string ends on its own line; any other
+character, a non-ASCII letter or a superscript digit for instance, is an error
+at its line and column.
 
 Word and edge-path literals share one rule (:meth:`Parser.parse_atoms`):
 ``e``, or atoms ``item`` / ``item^k`` with k != 0, as in ``x3 x2^-1``.
@@ -552,12 +552,15 @@ class Scenario:
 
 # What each kind of check argument must be, and a test of a value for it.
 # The bounds are those of ``autfn closure``; ``splitting`` reads the bundled
-# 3 x 3 generating pair, so its size is that of the pair.
+# 3 x 3 generating pair, so its size is that of the pair, and the ``subreps``
+# scan is sized for n in {3, 4}.  ``obstruction`` takes any size: it reports
+# the sizes it is not built for as ``rejected``.
 _ARG_KINDS: dict[str, tuple[str, Callable[[int | str], bool]]] = {
     "family": ("a group family, sl or psl", lambda v: v in ("sl", "psl")),
     "size": ("a size n >= 1", lambda v: isinstance(v, int) and v >= 1),
     "modulus": ("a modulus >= 2", lambda v: isinstance(v, int) and v >= 2),
     "fixture": ("the size 3 of the fixture pair", lambda v: v == 3),
+    "scan": ("a size 3 or 4 of the scan", lambda v: v in (3, 4)),
     "integer": ("an integer", lambda v: isinstance(v, int)),
 }
 _CHECK_FNS = {
@@ -569,7 +572,7 @@ _CHECK_FNS = {
     "closure_span": ("size", "modulus"),
     "splitting": ("fixture", "modulus"),
     "splitting_fixture": ("size", "modulus"),
-    "subreps": ("size",),
+    "subreps": ("scan",),
     "obstruction": ("size",),
 }
 

@@ -242,6 +242,7 @@ class TestCheckStatements:
             ("kernel(3, 1)", 17, "kernel needs a modulus >= 2, found 1"),
             ("order(gl, 3, 2)", 13, "order needs a group family, sl or psl, found gl"),
             ("splitting(4, 2)", 17, "splitting needs the size 3 of the fixture pair, found 4"),
+            ("subreps(1)", 15, "subreps needs a size 3 or 4 of the scan, found 1"),
             ("kernel(sl, 2)", 14, "kernel needs a size n >= 1, found sl"),
         ],
     )
@@ -327,9 +328,10 @@ def test_mutated_scenarios_parse_or_raise_located_parse_error(text):
 _CHECKS = (
     ("order", ("family", "size", "modulus")), ("center", ("family", "size", "modulus")),
     ("kernel", ("size", "modulus")), ("splitting", ("fixture", "modulus")),
-    ("subreps", ("size",)),
+    ("subreps", ("scan",)),
 )
-_ARG_VALUES = {"family": ["sl", "psl"], "size": [1, 2, 3], "modulus": [2, 3], "fixture": [3]}
+_ARG_VALUES = {"family": ["sl", "psl"], "size": [1, 2, 3], "modulus": [2, 3], "fixture": [3],
+               "scan": [3, 4]}
 
 
 @st.composite
