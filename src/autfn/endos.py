@@ -14,6 +14,7 @@ witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import neg
 from typing import Optional, Sequence
 
 from .words import RankMismatchError, Word, invert, multiply
@@ -59,22 +60,35 @@ class Endomorphism:
         return Endomorphism(images[0].rank, tuple(images))
 
     def is_identity(self) -> bool:
-        return self == Endomorphism.identity(self.rank)
+        return all(w.letters == (i,) for i, w in enumerate(self.images, 1))
 
     def apply(self, w: Word) -> Word:
-        """Image of a word; homomorphic by construction."""
+        """Image of a word; homomorphic by construction.
+
+        Each letter of w contributes the whole image block of its generator,
+        reversed and negated for an inverse letter.  The output so far and
+        the block are both freely reduced, so letters cancel only at the
+        seam between them: the c letters that cancel are counted there and
+        the rest of the block is appended in one step.
+        """
         if w.rank != self.rank:
             raise RankMismatchError(f"word rank {w.rank} vs rank {self.rank}")
+        images = self.images
         out: list[int] = []
         for a in w.letters:
-            img = self.images[abs(a) - 1].letters
-            if a < 0:
-                img = tuple(-x for x in reversed(img))
-            for x in img:
-                if out and out[-1] == -x:
-                    out.pop()
-                else:
-                    out.append(x)
+            if a > 0:
+                img = images[a - 1].letters
+            else:
+                img = tuple(map(neg, reversed(images[-a - 1].letters)))
+            if out and img and out[-1] == -img[0]:
+                n = min(len(out), len(img))
+                c = 1
+                while c < n and out[-1 - c] == -img[c]:
+                    c += 1
+                del out[-c:]
+                out += img[c:]
+            else:
+                out += img
         return Word._reduced(self.rank, tuple(out))
 
     def __mul__(self, other: "Endomorphism") -> "Endomorphism":
@@ -169,7 +183,9 @@ def power_order(
             return k, False
         if h.max_image_length() > max_word_len:
             return None, True
-        h = compose(f, h)
+        # f^k * f, not f * f^k: the same map, but substitution then copies
+        # the long images of h as whole blocks into the short images of f.
+        h = compose(h, f)
     return None, False
 
 

@@ -7,8 +7,9 @@ longest-match lexing; every diagnostic carries line/column and the expected
 token set.  Name resolution, rank bounds and the lower bounds of finite-group
 check arguments (a family sl or psl, a size n >= 1, a modulus >= 2) are
 checked at parse time, so a parsed scenario is internally consistent.  Sizes
-have no upper bound: a check whose group is too large stops at an enumeration
-cap, or runs out of memory when its table of m^n matrix rows does not fit.
+are bounded there too: a check may build a table of at most
+``MAX_CHECK_ROWS`` matrix rows (m^n, with m the modulus it works in), and a
+check whose group is too large within that bound stops at an enumeration cap.
 
 The lexer reads one pattern (:data:`_TOKEN_RE`).  Identifiers are ASCII
 letters, digits and underscores, with inner hyphens; an integer is decimal
@@ -18,7 +19,8 @@ character, a non-ASCII letter or a superscript digit for instance, is an error
 at its line and column.
 
 Word and edge-path literals share one rule (:meth:`Parser.parse_atoms`):
-``e``, or atoms ``item`` / ``item^k`` with k != 0, as in ``x3 x2^-1``.
+``e``, or atoms ``item`` / ``item^k`` with k != 0, as in ``x3 x2^-1``,
+writing out at most ``MAX_LITERAL_LETTERS`` letters in all.
 Generator layouts let indexed families like ``x(2,1)`` stand for flattened
 generator positions, earlier dimensions varying fastest.
 """
@@ -29,7 +31,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import product
 from math import prod
-from typing import Callable, Optional, TypeVar, Union
+from typing import Callable, NamedTuple, Optional, TypeVar, Union
 
 from .endos import NAMED_KINDS
 from .graphs import CONSTRUCTORS, SYMMETRIES, Graph
@@ -46,6 +48,12 @@ KEYWORDS = {
 AUT_CONSTRUCTORS = set(NAMED_KINDS)
 # Largest product of a graph constructor's arguments (see parse_graph_decl).
 MAX_CONSTRUCTOR_SIZE = 10_000
+# Most letters a word or edge-path literal writes out (see parse_atoms).
+MAX_LITERAL_LETTERS = 10_000
+# Most rows m^n in the table of matrix rows a finite-group check builds (see
+# parse_check); building 100,000 rows took 0.3 s and 50 MB (``_space(5, 10)``,
+# Python 3.11, 2-core x86-64 host).
+MAX_CHECK_ROWS = 100_000
 
 T = TypeVar("T")
 
@@ -72,8 +80,7 @@ class ParseError(Exception):
         super().__init__(f"{loc}: {message}{hint}")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT INT STRING PUNCT EOF
     value: str
     line: int
@@ -563,18 +570,33 @@ _ARG_KINDS: dict[str, tuple[str, Callable[[int | str], bool]]] = {
     "scan": ("a size 3 or 4 of the scan", lambda v: v in (3, 4)),
     "integer": ("an integer", lambda v: isinstance(v, int)),
 }
-_CHECK_FNS = {
-    "order": ("family", "size", "modulus"),
-    "center": ("family", "size", "modulus"),
-    "simple": ("family", "size", "modulus"),
-    "kernel": ("size", "modulus"),
-    "closure_kernel": ("size", "modulus", "integer"),
-    "closure_span": ("size", "modulus"),
-    "splitting": ("fixture", "modulus"),
-    "splitting_fixture": ("size", "modulus"),
-    "subreps": ("scan",),
-    "obstruction": ("size",),
+# Each check's argument kinds, and the modulus m and size n of the table of
+# m^n matrix rows (``modgroups._Space``) it builds, or None for no table.
+# The reduction checks work mod p^2, and ``splitting_fixture`` embeds
+# SL_n(Z/p) in dimension n + 2.
+_CHECK_FNS: dict[str, tuple[tuple[str, ...], Callable[..., Optional[tuple[int, int]]]]] = {
+    "order": (("family", "size", "modulus"), lambda _, n, m: (m, n)),
+    "center": (("family", "size", "modulus"), lambda _, n, m: (m, n)),
+    "simple": (("family", "size", "modulus"), lambda _, n, m: (m, n)),
+    "kernel": (("size", "modulus"), lambda n, p: (p * p, n)),
+    "closure_kernel": (("size", "modulus", "integer"), lambda n, p, _: (p * p, n)),
+    "closure_span": (("size", "modulus"), lambda n, p: (p * p, n)),
+    "splitting": (("fixture", "modulus"), lambda n, p: (p * p, n)),
+    "splitting_fixture": (("size", "modulus"), lambda n, p: (p, n + 2)),
+    "subreps": (("scan",), lambda n: (2, n)),
+    "obstruction": (("size",), lambda n: None),
 }
+
+
+def _table_rows(m: int, n: int) -> int:
+    """m^n for m >= 2, or the first power of m above ``MAX_CHECK_ROWS``, so
+    that a huge n costs a few multiplications."""
+    rows = 1
+    for _ in range(n):
+        rows *= m
+        if rows > MAX_CHECK_ROWS:
+            break
+    return rows
 
 
 class Parser:
@@ -882,18 +904,32 @@ class Parser:
     ) -> tuple[tuple[T, int], ...]:
         """``e``, or one or more ``item[^k]`` with k != 0.  ``item`` reads one
         item, or returns None, reading nothing, where the literal stops;
-        ``literal`` names the literal ("word" or "path") in diagnostics."""
+        ``literal`` names the literal ("word" or "path") in diagnostics.  The
+        |k| summed over the atoms is at most ``MAX_LITERAL_LETTERS``, so an
+        atom such as ``x1^1000000000`` is a parse error located at that atom,
+        before any letter is written out."""
         if self.at_keyword("e"):
             self.next()
             return ()
         atoms: list[tuple[T, int]] = []
-        while (value := item()) is not None:
+        letters = 0
+        while True:
+            start = self.peek()
+            if (value := item()) is None:
+                break
             exp = 1
             if self.at_punct("^"):
                 self.next()
                 exp = self.expect_int()
                 if exp == 0:
                     raise self.error(f"zero exponent in {literal} literal")
+            letters += abs(exp)
+            if letters > MAX_LITERAL_LETTERS:
+                raise ParseError(
+                    f"{literal} literal writes out more than "
+                    f"{MAX_LITERAL_LETTERS} letters",
+                    start.line, start.col,
+                )
             atoms.append((value, exp))
         if not atoms:
             raise self.error(*_MISSING_LITERAL[literal])
@@ -1310,7 +1346,7 @@ class Parser:
             lambda: (self.peek(), self.parse_value("a check argument", consts=True)),
             "()", (",",),
         )
-        kinds = _CHECK_FNS[fn_tok.value]
+        kinds, table = _CHECK_FNS[fn_tok.value]
         if len(located) != len(kinds):
             raise self.error(f"{fn_tok.value} takes {len(kinds)} argument(s)")
         for (tok, value), kind in zip(located, kinds):
@@ -1320,6 +1356,14 @@ class Parser:
                     f"{fn_tok.value} needs {what}, found {value}", tok.line, tok.col
                 )
         args = tuple(value for _, value in located)
+        if (shape := table(*args)) is not None and _table_rows(*shape) > MAX_CHECK_ROWS:
+            # Blame the size, or the modulus where the size is fixed.
+            tok = located[kinds.index("size" if "size" in kinds else "modulus")][0]
+            raise ParseError(
+                f"{fn_tok.value}: a table of {shape[0]}^{shape[1]} matrix rows "
+                f"is above the bound {MAX_CHECK_ROWS}",
+                tok.line, tok.col,
+            )
         self.expect_punct("==")
         if self.at_punct("["):
             expected = self.parse_seq(lambda: self.parse_value("a value"), "[]", (",",))

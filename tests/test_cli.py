@@ -1,4 +1,6 @@
 import json
+import runpy
+import sys
 
 import pytest
 
@@ -56,6 +58,13 @@ class TestScenarioCommands:
     def test_lint_bundled(self, capsys):
         assert main(["lint"]) == 0
         assert "known anchors" in capsys.readouterr().out
+
+    def test_python_dash_m_runs_the_cli(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["autfn", "run", ROSE])
+        with pytest.raises(SystemExit) as stop:
+            runpy.run_module("autfn", run_name="__main__")
+        assert stop.value.code == 0
+        assert "PASS" in capsys.readouterr().out
 
 
 class TestExpressionCommands:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from autfn.endos import (
     Endomorphism, NotABasisError, apply_nielsen_log, change_basis, compose,
     equal_up_to_inner, invert_automorphism, is_basis, is_inner, named,
-    nielsen_reduce, order, out_order,
+    nielsen_reduce, order, out_order, power_order,
 )
 from autfn.words import Word, free_reduce, invert, multiply, parse_word
 
@@ -550,12 +550,11 @@ def test_stalled_commutators_invert(images):
     _assert_inverts(endo(3, *images))
 
 
-@st.composite
-def _named_products(draw):
-    rank = draw(st.integers(3, 5))
+def _draw_named_product(draw, rank, lo, hi):
+    """A product of lo to hi named maps at the given rank."""
     index = st.integers(1, rank)
     f = Endomorphism.identity(rank)
-    for _ in range(draw(st.integers(10, 40))):
+    for _ in range(draw(st.integers(lo, hi))):
         kind = draw(st.sampled_from("LRCPI"))
         i = draw(index)
         if kind == "I":
@@ -564,6 +563,11 @@ def _named_products(draw):
             j = draw(index.filter(lambda j: j != i))
             f = compose(f, named(kind, i, j, rank=rank))
     return f
+
+
+@st.composite
+def _named_products(draw):
+    return _draw_named_product(draw, draw(st.integers(3, 5)), 10, 40)
 
 
 @given(_named_products(), st.integers(0, 4))
@@ -662,17 +666,7 @@ def _nielsen_inputs(draw):
             Word(rank, free_reduce(draw(st.lists(letter, max_size=8))))
             for _ in range(rank)
         ]
-    index = st.integers(1, rank)
-    f = Endomorphism.identity(rank)
-    for _ in range(draw(st.integers(10, 40))):
-        kind = draw(st.sampled_from("LRCPI"))
-        i = draw(index)
-        if kind == "I":
-            f = compose(f, named("I", i, rank=rank))
-        else:
-            j = draw(index.filter(lambda j: j != i))
-            f = compose(f, named(kind, i, j, rank=rank))
-    images = list(f.images)
+    images = list(_draw_named_product(draw, rank, 10, 40).images)
     if form == "squared":
         k = draw(st.integers(0, rank - 1))
         images[k] = images[k] * images[k]
@@ -683,3 +677,127 @@ def _nielsen_inputs(draw):
 @settings(deadline=None, max_examples=150)
 def test_nielsen_reduce_matches_the_reference(words):
     assert nielsen_reduce(words) == _reference_nielsen_reduce(words)
+
+
+def _reference_apply(f, w):
+    """Reference for :meth:`Endomorphism.apply`: pushes each letter of each
+    image block onto the output and pops it against its inverse."""
+    out = []
+    for a in w.letters:
+        img = f.images[abs(a) - 1].letters
+        if a < 0:
+            img = tuple(-x for x in reversed(img))
+        for x in img:
+            if out and out[-1] == -x:
+                out.pop()
+            else:
+                out.append(x)
+    return Word(f.rank, tuple(out))
+
+
+def _reference_compose(f, g):
+    return Endomorphism(f.rank, tuple(_reference_apply(f, w) for w in g.images))
+
+
+@st.composite
+def _apply_inputs(draw):
+    """Two maps and a word at ranks 2-7.  Each map is a product of 5-40 named
+    maps, or has random images, some of them empty (not an automorphism).
+    The word's letters are inverses with a drawn share from 0 to 90%."""
+    rank = draw(st.integers(2, 7))
+    letter = st.integers(-rank, rank).filter(bool)
+
+    def endomorphism():
+        if draw(st.booleans()):
+            return _draw_named_product(draw, rank, 5, 40)
+        return Endomorphism(rank, tuple(
+            Word(rank, free_reduce(draw(st.lists(letter, max_size=8))))
+            for _ in range(rank)
+        ))
+
+    f, g = endomorphism(), endomorphism()
+    inverse_share = draw(st.integers(0, 9))
+    raw = draw(st.lists(st.tuples(st.integers(1, rank), st.integers(0, 9)), max_size=30))
+    w = Word(rank, free_reduce(-i if k < inverse_share else i for i, k in raw))
+    return f, g, w
+
+
+@given(_apply_inputs())
+@settings(deadline=None, max_examples=200)
+def test_apply_and_compose_match_the_per_letter_reference(case):
+    f, g, w = case
+    assert f.apply(w) == _reference_apply(f, w)
+    assert compose(f, g) == _reference_compose(f, g)
+    assert compose(g, f) == _reference_compose(g, f)
+    if is_basis(f.images):
+        # f^-1 * f cancels every block of f^-1 down to a single letter.
+        fi = invert_automorphism(f)
+        assert compose(fi, f) == _reference_compose(fi, f) == Endomorphism.identity(f.rank)
+        assert fi.apply(f.apply(w)) == w
+
+
+def _reference_power_order(f, outer, max_power, max_word_len):
+    """Reference for :func:`power_order`: grows powers on the right, f * f^k,
+    and tests the identity against a built identity map."""
+    h = f
+    for k in range(1, max_power + 1):
+        if (is_inner(h) is not None) if outer else h == Endomorphism.identity(f.rank):
+            return k, False
+        if h.max_image_length() > max_word_len:
+            return None, True
+        h = compose(f, h)
+    return None, False
+
+
+@pytest.mark.parametrize(
+    "f, outer, max_power, max_len, expected",
+    [
+        (F6, False, 256, 4096, (12, False)),
+        (F6, False, 11, 4096, (None, False)),  # power cap
+        (G4, False, 8, 4096, (None, False)),  # power cap on infinite order
+        (G4, True, 256, 4096, (3, False)),
+        (G4, False, 256, 5, (None, True)),  # letter cap
+        (named("L", 1, 2, rank=2), False, 256, 3, (None, True)),
+        (named("L", 1, 2, rank=2), True, 3, 100, (None, False)),
+        (named("P", 1, 2, rank=2), False, 2, 1, (2, False)),
+        (named("I", 2, rank=3), True, 1, 1, (None, False)),
+    ],
+)
+def test_power_order_matches_powers_grown_on_the_right(f, outer, max_power, max_len, expected):
+    assert power_order(f, outer, max_power, max_len) == expected
+    assert _reference_power_order(f, outer, max_power, max_len) == expected
+
+
+@st.composite
+def _short_products(draw):
+    return _draw_named_product(draw, draw(st.integers(2, 4)), 1, 6)
+
+
+@given(_short_products(), st.booleans(), st.integers(1, 12), st.integers(1, 30))
+@settings(deadline=None, max_examples=150)
+def test_power_order_matches_the_reference_on_named_products(f, outer, max_power, max_len):
+    assert power_order(f, outer, max_power, max_len) == _reference_power_order(
+        f, outer, max_power, max_len
+    )
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        named("P", 1, 2, rank=2),
+        named("I", 1, rank=3),
+        endo(3, "x2", "x3", "x1"),
+        endo(2, "x1^-1", "x2^-1"),
+        endo(2, "x1", "x1"),
+        endo(3, "x1", "x2", "x3^-1"),
+    ],
+)
+def test_maps_with_single_letter_images_are_not_the_identity(f):
+    assert all(len(w) == 1 for w in f.images)
+    assert not f.is_identity()
+
+
+def test_identity_maps_are_the_identity():
+    assert all(Endomorphism.identity(rank).is_identity() for rank in range(1, 6))
+    assert endo(3, "x1", "x2", "x3").is_identity()
+    assert not endo(2, "x1", "e").is_identity()

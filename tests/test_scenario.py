@@ -54,6 +54,31 @@ class TestParseBasics:
         s = parse_scenario("# anchor: some-label\nrank 2")
         assert s.anchor == "some-label"
 
+    @pytest.mark.parametrize(
+        "text, line, col, literal",
+        [
+            ("rank 2\naut f { x1 -> x1^1000000000 }", 2, 15, "word"),
+            ("rank 2\nword w = x1^5000 x2^-5000 x1", 2, 27, "word"),
+            (
+                "rank 2\ngraph g = rose(2)\n"
+                "basis B on g at v0 { x1 = s1^10000 s2; x2 = s2 }",
+                3, 36, "path",
+            ),
+        ],
+    )
+    def test_oversized_literal_is_located_at_the_crossing_atom(
+        self, text, line, col, literal
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_scenario(text)
+        assert (exc.value.line, exc.value.col, exc.value.message) == (
+            line, col, f"{literal} literal writes out more than 10000 letters"
+        )
+
+    def test_literal_at_the_letter_bound_parses(self):
+        s = parse_scenario("rank 2\nword w = x1^-9999 x2")
+        assert s.statements[1].value.atoms[0][1] == -9999
+
 
 class TestLexing:
     @pytest.mark.parametrize(
@@ -250,6 +275,32 @@ class TestCheckStatements:
         with pytest.raises(ParseError) as exc:
             parse_scenario(f"rank 3\ncheck {call} == 1")
         assert (exc.value.line, exc.value.col, exc.value.message) == (2, col, message)
+
+    @pytest.mark.parametrize(
+        "call, col, table",
+        [
+            ("order(sl, 30, 3)", 17, "3^30"),
+            ("center(psl, 1000000000, 2)", 19, "2^1000000000"),
+            ("kernel(6, 3)", 14, "9^6"),
+            ("closure_kernel(5, 10, 1)", 22, "100^5"),
+            ("splitting(3, 100)", 20, "10000^3"),
+            ("splitting_fixture(15, 2)", 25, "2^17"),
+        ],
+    )
+    def test_oversized_row_table_is_located(self, call, col, table):
+        with pytest.raises(ParseError) as exc:
+            parse_scenario(f"rank 3\ncheck {call} == 1")
+        assert (exc.value.line, exc.value.col, exc.value.message) == (
+            2, col,
+            f"{call.split('(')[0]}: a table of {table} matrix rows "
+            "is above the bound 100000",
+        )
+
+    def test_row_table_at_the_bound_parses(self):
+        s = parse_scenario(
+            "rank 3\ncheck order(sl, 5, 10) == 1\ncheck obstruction(1000) == rejected"
+        )
+        assert [c.args for c in s.statements[1:]] == [("sl", 5, 10), (1000,)]
 
     def test_constant_arguments_are_bounded_by_value(self):
         s = parse_scenario("rank 3\nconst Q = 2\ncheck order(psl, 3, Q) == 168")
