@@ -19,7 +19,9 @@ from . import modgroups
 from .endos import is_inner
 from .matrices import abelianize, det as int_det, mod_reduce
 from .runner import Evaluator, lint_scenarios, replay_all, run_scenario
-from .scenario import Assertion, CheckStmt, ParseError, Parser, parse_scenario
+from .scenario import (
+    MAX_CHECK_ROWS, Assertion, CheckStmt, ParseError, Parser, parse_scenario, table_rows,
+)
 from .words import format_word
 
 
@@ -148,6 +150,12 @@ def cmd_closure(args: argparse.Namespace) -> int:
     """Normal closure of an elementary-matrix power; JSON verdict."""
     if args.n < 1 or args.mod < 2:
         raise ValueError("closure needs --n at least 1 and --mod at least 2")
+    if table_rows(args.mod, args.n) > MAX_CHECK_ROWS:
+        # The bound the parser applies to a check's table of m^n matrix rows.
+        raise ValueError(
+            f"closure: a table of {args.mod}^{args.n} matrix rows "
+            f"is above the bound {MAX_CHECK_ROWS}"
+        )
     start = time.perf_counter()
     group = modgroups.sl_group(args.n, args.mod)
     seed = modgroups.elementary_mat(args.k, args.r, args.power, args.n, args.mod)
@@ -232,7 +240,7 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValueError, OSError) as exc:
+    except (ParseError, ValueError, OSError, modgroups.EnumerationCapError) as exc:
         # One line on stderr; file commands name their file first.
         message = getattr(exc, "strerror", None) or str(exc)
         file = getattr(args, "file", None)

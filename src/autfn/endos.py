@@ -13,11 +13,10 @@ witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import neg
 from typing import Optional, Sequence
 
-from .words import RankMismatchError, Word, invert, multiply
+from .words import Frozen, RankMismatchError, Word, invert, multiply
 
 NAMED_KINDS = ("L", "R", "C", "P", "I")
 
@@ -29,23 +28,29 @@ class NotABasisError(ValueError):
     """The given word tuple does not form a free basis."""
 
 
-@dataclass(frozen=True, slots=True)
-class Endomorphism:
+class Endomorphism(Frozen):
     """Rank plus the image of each generator, in generator order."""
 
-    rank: int
-    images: tuple[Word, ...]
+    __slots__ = ("rank", "images")
 
-    def __post_init__(self) -> None:
-        if len(self.images) != self.rank:
-            raise ValueError(
-                f"expected {self.rank} images, got {len(self.images)}"
-            )
-        for w in self.images:
-            if w.rank != self.rank:
+    def __init__(self, rank: int, images: tuple[Word, ...]) -> None:
+        if len(images) != rank:
+            raise ValueError(f"expected {rank} images, got {len(images)}")
+        for w in images:
+            if w.rank != rank:
                 raise RankMismatchError(
-                    f"image rank {w.rank} differs from endomorphism rank {self.rank}"
+                    f"image rank {w.rank} differs from endomorphism rank {rank}"
                 )
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "images", images)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.rank == other.rank and self.images == other.images
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.images))
 
     @staticmethod
     def identity(rank: int) -> "Endomorphism":

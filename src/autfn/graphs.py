@@ -10,36 +10,48 @@ generators are reproducible; custom bases are reached through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .endos import Endomorphism, is_basis
-from .words import Word, reduce as reduce_word
+from .words import Frozen, Word, reduce as reduce_word
 
 
-@dataclass(frozen=True, slots=True)
-class Graph:
+class Graph(Frozen):
     """Vertices by id and oriented edges (id, source, target); loops and
-    parallel edges allowed.  Must be connected."""
+    parallel edges allowed.  Must be connected.  ``ends`` maps each edge id
+    to its (source, target); it is derived, so equality leaves it out."""
 
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[str, str, str], ...]
-    ends: dict[str, tuple[str, str]] = field(init=False, repr=False, compare=False)
+    __slots__ = ("vertices", "edges", "ends")
 
-    def __post_init__(self) -> None:
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
+    def __init__(
+        self, vertices: tuple[str, ...], edges: tuple[tuple[str, str, str], ...]
+    ) -> None:
+        vset = set(vertices)
+        if len(vset) != len(vertices):
             raise ValueError("duplicate vertex ids")
         ends: dict[str, tuple[str, str]] = {}
-        for name, src, dst in self.edges:
+        for name, src, dst in edges:
             if name in ends:
                 raise ValueError(f"duplicate edge id {name!r}")
             if src not in vset or dst not in vset:
                 raise ValueError(f"edge {name!r} has missing endpoint")
             ends[name] = (src, dst)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "ends", ends)
         if not self._connected():
             raise ValueError("graph is not connected")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.vertices == other.vertices and self.edges == other.edges
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.edges))
+
+    def __repr__(self) -> str:
+        return f"Graph(vertices={self.vertices!r}, edges={self.edges!r})"
 
     def _connected(self) -> bool:
         if not self.vertices:
@@ -66,8 +78,7 @@ class Graph:
         return len(self.edges) - len(self.vertices) + 1
 
 
-@dataclass(frozen=True, slots=True)
-class EdgeStep:
+class EdgeStep(NamedTuple):
     edge: str
     forward: bool
 
@@ -75,16 +86,31 @@ class EdgeStep:
         return EdgeStep(self.edge, not self.forward)
 
 
-@dataclass(frozen=True, slots=True)
-class EdgePath:
+class EdgePath(Frozen):
     """A walk: consecutive traversals share endpoints."""
 
-    graph: Graph
-    start: str
-    steps: tuple[EdgeStep, ...]
+    __slots__ = ("graph", "start", "steps")
 
-    def __post_init__(self) -> None:
+    def __init__(self, graph: Graph, start: str, steps: tuple[EdgeStep, ...]) -> None:
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "steps", steps)
         self._walk()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (
+                self.graph == other.graph
+                and self.start == other.start
+                and self.steps == other.steps
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self.start, self.steps))
+
+    def __repr__(self) -> str:
+        return f"EdgePath(graph={self.graph!r}, start={self.start!r}, steps={self.steps!r})"
 
     def _walk(self) -> str:
         at = self.start

@@ -9,19 +9,29 @@ integers, hence exact at any size; the determinant uses fraction-free
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .endos import Endomorphism
+from .words import Frozen
 
 
-@dataclass(frozen=True, slots=True)
-class IntMatrix:
-    n: int
-    rows: tuple[tuple[int, ...], ...]
+class IntMatrix(Frozen):
+    __slots__ = ("n", "rows")
 
-    def __post_init__(self) -> None:
-        if len(self.rows) != self.n or any(len(r) != self.n for r in self.rows):
-            raise ValueError(f"expected {self.n}x{self.n} entries")
+    def __init__(self, n: int, rows: tuple[tuple[int, ...], ...]) -> None:
+        if len(rows) != n or any(len(r) != n for r in rows):
+            raise ValueError(f"expected {n}x{n} entries")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.n == other.n and self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.rows))
+
+    def __repr__(self) -> str:
+        return f"IntMatrix(n={self.n!r}, rows={self.rows!r})"
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":

@@ -38,11 +38,10 @@ kernel generator, which covers every pair by induction
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, reduce
 from itertools import islice, product, repeat
 from operator import mul
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 Mat = int
 
@@ -544,8 +543,7 @@ def is_simple(group: FiniteMatrixGroup) -> bool:
 # --- reduction kernels -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KernelReport:
+class KernelReport(NamedTuple):
     """Structure of the kernel of SL_n(Z/p^2) -> SL_n(Z/p)."""
 
     n: int
@@ -763,8 +761,7 @@ def closure_spans_kernel_additively(n: int, p: int, seed_pos: tuple[int, int]) -
 # --- section (splitting) searches --------------------------------------------
 
 
-@dataclass(frozen=True)
-class SectionSearchResult:
+class SectionSearchResult(NamedTuple):
     found: bool
     pairs_tried: int
     pairs_expanded: int
@@ -851,7 +848,7 @@ def splitting_search(
     )
     if result.witness is None:
         return result
-    return replace(result, witness=tuple(decode(w, n, m) for w in result.witness))
+    return result._replace(witness=tuple(decode(w, n, m) for w in result.witness))
 
 
 def product_section_fixture(n: int = 3, p: int = 2) -> SectionSearchResult:
@@ -936,8 +933,7 @@ def _xor_table(images: Sequence[int]) -> list[int]:
     return table
 
 
-@dataclass(frozen=True)
-class SubrepScan:
+class SubrepScan(NamedTuple):
     """Orbit-span scan of the trace-zero GF(2) matrices under conjugation."""
 
     n: int
@@ -1035,8 +1031,7 @@ def invariant_subreps(n: int) -> SubrepScan:
 # --- diagonal-parity obstruction ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     """Infeasibility certificate for the diagonal-parity system.
 
     ``equations`` are (variable bitmask, parity) pairs over d_1..d_n; the

@@ -10,10 +10,9 @@ ordering, serializable to the JSON shape
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import modgroups
 from .endos import (
@@ -45,8 +44,7 @@ SKIP = "skipped"
 NOTE = "note"
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(NamedTuple):
     scenario: str
     assertion: str
     status: str
@@ -54,17 +52,10 @@ class Record:
     anchor: str
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "assertion": self.assertion,
-            "status": self.status,
-            "detail": self.detail,
-            "anchor": self.anchor,
-        }
+        return self._asdict()
 
 
-@dataclass
-class ReplayReport:
+class ReplayReport(NamedTuple):
     records: list[Record]
 
     @property

@@ -8,8 +8,18 @@ token set.  Name resolution, rank bounds and the lower bounds of finite-group
 check arguments (a family sl or psl, a size n >= 1, a modulus >= 2) are
 checked at parse time, so a parsed scenario is internally consistent.  Sizes
 are bounded there too: a check may build a table of at most
-``MAX_CHECK_ROWS`` matrix rows (m^n, with m the modulus it works in), and a
-check whose group is too large within that bound stops at an enumeration cap.
+``MAX_CHECK_ROWS`` matrix rows (m^n, with m the modulus it works in), a check
+whose group is too large within that bound stops at an enumeration cap, and
+``obstruction(n)`` takes n up to ``MAX_OBSTRUCTION_SIZE``.
+
+Syntax-tree nodes are ``typing.NamedTuple`` classes, cheap to build at
+import, and two nodes are equal when their fields are equal.  Tuple equality
+does not look at the class (``AutName("f") == NoteStmt("f")``), so nodes are
+compared only within one class, or among automorphism expressions, whose
+classes differ in arity or field types; the one such comparison is the
+literal-conjugate test of ``Evaluator.order_of``.  ``AutIdent()`` has no
+fields and so is false: code tests a node's class, or compares it with None,
+never its truth.
 
 The lexer reads one pattern (:data:`_TOKEN_RE`).  Identifiers are ASCII
 letters, digits and underscores, with inner hyphens; an integer is decimal
@@ -20,7 +30,8 @@ at its line and column.
 
 Word and edge-path literals share one rule (:meth:`Parser.parse_atoms`):
 ``e``, or atoms ``item`` / ``item^k`` with k != 0, as in ``x3 x2^-1``,
-writing out at most ``MAX_LITERAL_LETTERS`` letters in all.
+writing out at most ``MAX_LITERAL_LETTERS`` letters in all, the bound that
+``words.parse_word`` applies too.
 Generator layouts let indexed families like ``x(2,1)`` stand for flattened
 generator positions, earlier dimensions varying fastest.
 """
@@ -28,13 +39,13 @@ generator positions, earlier dimensions varying fastest.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import product
 from math import prod
 from typing import Callable, NamedTuple, Optional, TypeVar, Union
 
 from .endos import NAMED_KINDS
 from .graphs import CONSTRUCTORS, SYMMETRIES, Graph
+from .words import MAX_LITERAL_LETTERS
 
 KEYWORDS = {
     "scenario", "rank", "const", "gens", "word", "aut", "graph", "gaut",
@@ -48,12 +59,15 @@ KEYWORDS = {
 AUT_CONSTRUCTORS = set(NAMED_KINDS)
 # Largest product of a graph constructor's arguments (see parse_graph_decl).
 MAX_CONSTRUCTOR_SIZE = 10_000
-# Most letters a word or edge-path literal writes out (see parse_atoms).
-MAX_LITERAL_LETTERS = 10_000
 # Most rows m^n in the table of matrix rows a finite-group check builds (see
 # parse_check); building 100,000 rows took 0.3 s and 50 MB (``_space(5, 10)``,
 # Python 3.11, 2-core x86-64 host).
 MAX_CHECK_ROWS = 100_000
+# Largest size n of ``check obstruction(n)``, which builds no row table but
+# eliminates about n^2/2 equations of n-bit masks: ``split_obstruction(100)``
+# took 0.07 s and 17 MB peak RSS, ``split_obstruction(400)`` 5.8 s and 432 MB
+# (Python 3.11, 2-core x86-64 host).
+MAX_OBSTRUCTION_SIZE = 100
 
 T = TypeVar("T")
 
@@ -139,8 +153,7 @@ def lex(text: str) -> tuple[list[Token], list[str]]:
 # --- syntax tree -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GenRef:
+class GenRef(NamedTuple):
     """A generator reference: surface form plus the resolved 1-based index."""
 
     name: str
@@ -153,8 +166,7 @@ class GenRef:
         return f"{self.name}({', '.join(str(c) for c in self.coords)})"
 
 
-@dataclass(frozen=True)
-class WordLit:
+class WordLit(NamedTuple):
     atoms: tuple[tuple[GenRef, int], ...]  # (generator, exponent != 0)
 
     def pretty(self) -> str:
@@ -166,8 +178,7 @@ class WordLit:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class PathLit:
+class PathLit(NamedTuple):
     atoms: tuple[tuple[str, int], ...]  # (edge id, exponent != 0)
 
     def pretty(self) -> str:
@@ -176,22 +187,19 @@ class PathLit:
         return " ".join(e if k == 1 else f"{e}^{k}" for e, k in self.atoms)
 
 
-@dataclass(frozen=True)
-class AutIdent:
+class AutIdent(NamedTuple):
     def pretty(self) -> str:
         return "id"
 
 
-@dataclass(frozen=True)
-class AutName:
+class AutName(NamedTuple):
     name: str
 
     def pretty(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class AutNamedGen:
+class AutNamedGen(NamedTuple):
     kind: str  # L R C P I
     args: tuple[GenRef, ...]
 
@@ -199,8 +207,7 @@ class AutNamedGen:
         return f"{self.kind}({', '.join(a.pretty() for a in self.args)})"
 
 
-@dataclass(frozen=True)
-class AutInduced:
+class AutInduced(NamedTuple):
     gaut: str
     mode: str  # "at" | "delta"
     vertex: Optional[str]
@@ -215,8 +222,7 @@ class AutInduced:
         return out
 
 
-@dataclass(frozen=True)
-class AutPow:
+class AutPow(NamedTuple):
     base: "AutExpr"
     exp: int
 
@@ -227,8 +233,7 @@ class AutPow:
         return f"{base}^{self.exp}"
 
 
-@dataclass(frozen=True)
-class AutProd:
+class AutProd(NamedTuple):
     factors: tuple["AutExpr", ...]
 
     def pretty(self) -> str:
@@ -244,8 +249,7 @@ class AutProd:
 AutExpr = Union[AutIdent, AutName, AutNamedGen, AutInduced, AutPow, AutProd]
 
 
-@dataclass(frozen=True)
-class MatLit:
+class MatLit(NamedTuple):
     """Matrix expression: identity (optionally negated), an elementary-matrix
     power, or a row-major literal with ';' between rows."""
 
@@ -269,16 +273,14 @@ class MatLit:
 # Statements
 
 
-@dataclass(frozen=True)
-class RankDecl:
+class RankDecl(NamedTuple):
     rank: int
 
     def pretty(self) -> str:
         return f"rank {self.rank}"
 
 
-@dataclass(frozen=True)
-class ConstDecl:
+class ConstDecl(NamedTuple):
     name: str
     value: int
 
@@ -286,8 +288,7 @@ class ConstDecl:
         return f"const {self.name} = {self.value}"
 
 
-@dataclass(frozen=True)
-class LayoutItem:
+class LayoutItem(NamedTuple):
     name: str
     dims: Optional[tuple[tuple[str, int, int], ...]]  # (var, lo, hi)
 
@@ -303,16 +304,14 @@ class LayoutItem:
         return f"{self.name}[{inner}]"
 
 
-@dataclass(frozen=True)
-class GensDecl:
+class GensDecl(NamedTuple):
     items: tuple[LayoutItem, ...]
 
     def pretty(self) -> str:
         return "gens " + " ".join(i.pretty() for i in self.items)
 
 
-@dataclass(frozen=True)
-class WordDecl:
+class WordDecl(NamedTuple):
     name: str
     value: WordLit
 
@@ -320,8 +319,7 @@ class WordDecl:
         return f"word {self.name} = {self.value.pretty()}"
 
 
-@dataclass(frozen=True)
-class AutDeclExpr:
+class AutDeclExpr(NamedTuple):
     name: str
     expr: AutExpr
 
@@ -329,8 +327,7 @@ class AutDeclExpr:
         return f"aut {self.name} = {self.expr.pretty()}"
 
 
-@dataclass(frozen=True)
-class AutDeclImages:
+class AutDeclImages(NamedTuple):
     name: str
     entries: tuple[tuple[GenRef, WordLit], ...]
 
@@ -339,23 +336,21 @@ class AutDeclImages:
         return f"aut {self.name} {{ {body} }}"
 
 
-@dataclass(frozen=True)
-class GraphCtorDecl:
+class GraphCtorDecl(NamedTuple):
     name: str
     ctor: str
     args: tuple[int, ...]
-    graph: Graph = field(compare=False, repr=False)
+    graph: Graph  # built at parse time
 
     def pretty(self) -> str:
         return f"graph {self.name} = {self.ctor}({', '.join(map(str, self.args))})"
 
 
-@dataclass(frozen=True)
-class GraphBlockDecl:
+class GraphBlockDecl(NamedTuple):
     name: str
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str, str], ...]  # includes loops (src == dst)
-    graph: Graph = field(compare=False, repr=False)
+    graph: Graph  # built at parse time
 
     def pretty(self) -> str:
         parts = [f"vertex {' '.join(self.vertices)};"]
@@ -364,8 +359,7 @@ class GraphBlockDecl:
         return f"graph {self.name} {{ " + " ".join(parts) + " }"
 
 
-@dataclass(frozen=True)
-class GautBuiltinDecl:
+class GautBuiltinDecl(NamedTuple):
     name: str
     kind: str  # a key of graphs.SYMMETRIES
     graph: str
@@ -374,8 +368,7 @@ class GautBuiltinDecl:
         return f"gaut {self.name} = {self.kind} on {self.graph}"
 
 
-@dataclass(frozen=True)
-class GautBlockDecl:
+class GautBlockDecl(NamedTuple):
     name: str
     graph: str
     entries: tuple[tuple[str, str, bool], ...]  # (edge, target, reversed)
@@ -387,8 +380,7 @@ class GautBlockDecl:
         return f"gaut {self.name} on {self.graph} {{ {body} }}"
 
 
-@dataclass(frozen=True)
-class BasisDecl:
+class BasisDecl(NamedTuple):
     name: str
     graph: str
     basepoint: str
@@ -399,8 +391,7 @@ class BasisDecl:
         return f"basis {self.name} on {self.graph} at {self.basepoint} {{ {body} }}"
 
 
-@dataclass(frozen=True)
-class Assertion:
+class Assertion(NamedTuple):
     kind: str
     # exact/unequal/outer: lhs, rhs aut exprs
     # order/outorder: lhs, number (None = unbounded), negated
@@ -449,8 +440,7 @@ class Assertion:
         raise AssertionError(f"unknown assertion kind {k}")
 
 
-@dataclass(frozen=True)
-class CheckStmt:
+class CheckStmt(NamedTuple):
     fn: str
     args: tuple[int | str, ...]
     expected: tuple[int | str, ...]  # one value, or several for list results
@@ -466,8 +456,7 @@ class CheckStmt:
         return f"check {self.fn}({args}) == {exp}{tail}"
 
 
-@dataclass(frozen=True)
-class NoteStmt:
+class NoteStmt(NamedTuple):
     text: str
 
     def pretty(self) -> str:
@@ -481,15 +470,15 @@ Statement = Union[
 ]
 
 
-@dataclass(frozen=True)
-class Layout:
+class Layout(NamedTuple):
     """Mapping from generator surface names to flattened 1-based indices."""
 
     items: tuple[LayoutItem, ...]
-    rank: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rank", sum(item.size for item in self.items))
+    @property
+    def rank(self) -> int:
+        """Number of generators, summed over the items."""
+        return sum(item.size for item in self.items)
 
     def resolve(self, name: str, coords: Optional[tuple[int, ...]]) -> Optional[int]:
         base = 0
@@ -537,8 +526,7 @@ class Layout:
         return self.items == (LayoutItem("x", (("i", 1, self.rank),)),)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     name: str
     anchor: Optional[str]
     rank: int
@@ -560,14 +548,19 @@ class Scenario:
 # What each kind of check argument must be, and a test of a value for it.
 # The bounds are those of ``autfn closure``; ``splitting`` reads the bundled
 # 3 x 3 generating pair, so its size is that of the pair, and the ``subreps``
-# scan is sized for n in {3, 4}.  ``obstruction`` takes any size: it reports
-# the sizes it is not built for as ``rejected``.
+# scan is sized for n in {3, 4}.  ``obstruction`` takes any size up to
+# ``MAX_OBSTRUCTION_SIZE``: it reports the sizes it is not built for as
+# ``rejected``.
 _ARG_KINDS: dict[str, tuple[str, Callable[[int | str], bool]]] = {
     "family": ("a group family, sl or psl", lambda v: v in ("sl", "psl")),
     "size": ("a size n >= 1", lambda v: isinstance(v, int) and v >= 1),
     "modulus": ("a modulus >= 2", lambda v: isinstance(v, int) and v >= 2),
     "fixture": ("the size 3 of the fixture pair", lambda v: v == 3),
     "scan": ("a size 3 or 4 of the scan", lambda v: v in (3, 4)),
+    "system": (
+        f"a size n from 1 to {MAX_OBSTRUCTION_SIZE}",
+        lambda v: isinstance(v, int) and 1 <= v <= MAX_OBSTRUCTION_SIZE,
+    ),
     "integer": ("an integer", lambda v: isinstance(v, int)),
 }
 # Each check's argument kinds, and the modulus m and size n of the table of
@@ -584,11 +577,11 @@ _CHECK_FNS: dict[str, tuple[tuple[str, ...], Callable[..., Optional[tuple[int, i
     "splitting": (("fixture", "modulus"), lambda n, p: (p * p, n)),
     "splitting_fixture": (("size", "modulus"), lambda n, p: (p, n + 2)),
     "subreps": (("scan",), lambda n: (2, n)),
-    "obstruction": (("size",), lambda n: None),
+    "obstruction": (("system",), lambda n: None),
 }
 
 
-def _table_rows(m: int, n: int) -> int:
+def table_rows(m: int, n: int) -> int:
     """m^n for m >= 2, or the first power of m above ``MAX_CHECK_ROWS``, so
     that a huge n costs a few multiplications."""
     rows = 1
@@ -1356,7 +1349,7 @@ class Parser:
                     f"{fn_tok.value} needs {what}, found {value}", tok.line, tok.col
                 )
         args = tuple(value for _, value in located)
-        if (shape := table(*args)) is not None and _table_rows(*shape) > MAX_CHECK_ROWS:
+        if (shape := table(*args)) is not None and table_rows(*shape) > MAX_CHECK_ROWS:
             # Blame the size, or the modulus where the size is fixed.
             tok = located[kinds.index("size" if "size" in kinds else "modulus")][0]
             raise ParseError(

@@ -9,8 +9,11 @@ so all operations are pure and thread-safe.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+# Most letters a word literal writes out, here and in scenario word and
+# edge-path literals; an atom ``x1^k`` writes |k| letters.
+MAX_LITERAL_LETTERS = 10_000
 
 
 class RankMismatchError(ValueError):
@@ -28,14 +31,33 @@ def free_reduce(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
-class Word:
+class Frozen:
+    """Base of the hand-written immutable value types.  Each sets its slots
+    once in ``__init__`` through ``object.__setattr__``; after that,
+    assigning to or deleting an attribute raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
+class Word(Frozen):
     """A freely reduced word; construct through :func:`reduce` or parsing."""
 
-    rank: int
-    letters: tuple[int, ...]
+    __slots__ = ("rank", "letters")
+
+    def __init__(self, rank: int, letters: tuple[int, ...]) -> None:
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "letters", letters)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """The checks of the public constructor, kept as their own method so
+        that checked constructions can be counted by wrapping it."""
         if self.rank < 1:
             raise ValueError(f"rank must be positive, got {self.rank}")
         prev = 0
@@ -55,6 +77,14 @@ class Word:
         object.__setattr__(w, "rank", rank)
         object.__setattr__(w, "letters", letters)
         return w
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.rank == other.rank and self.letters == other.letters
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.letters))
 
     @staticmethod
     def identity(rank: int) -> "Word":
@@ -158,7 +188,9 @@ def parse_word(text: str, rank: int) -> Word:
     """Parse the shared word-literal syntax.
 
     Whitespace-separated atoms ``x3``, ``x3^-1``, ``x3^2`` (exponents expand
-    to letter runs); ``e`` alone denotes the empty word.
+    to letter runs); ``e`` alone denotes the empty word.  The |k| summed
+    over the atoms is at most ``MAX_LITERAL_LETTERS``, checked before an
+    atom's letters are written out.
     """
     parts = text.split()
     if not parts:
@@ -166,6 +198,7 @@ def parse_word(text: str, rank: int) -> Word:
     if parts == ["e"]:
         return Word.identity(rank)
     letters: list[int] = []
+    total = 0
     for atom in parts:
         if atom == "e":
             continue
@@ -176,6 +209,11 @@ def parse_word(text: str, rank: int) -> Word:
         power = int(m.group(2)) if m.group(2) is not None else 1
         if index < 1 or index > rank:
             raise ValueError(f"generator x{index} out of range for rank {rank}")
+        total += abs(power)
+        if total > MAX_LITERAL_LETTERS:
+            raise ValueError(
+                f"word literal writes out more than {MAX_LITERAL_LETTERS} letters"
+            )
         letters.extend([index if power > 0 else -index] * abs(power))
     return reduce(letters, rank)
 

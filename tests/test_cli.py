@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from autfn import modgroups
 from autfn.cli import main
 from autfn.runner import bundled_corpus_dir
 
@@ -190,6 +191,26 @@ class TestInputErrors:
             "closure", "--n", "2", "--mod", "0", "--k", "1", "--r", "2", "--power", "1",
         ]) == 1
         assert "--mod at least 2" in self.one_line(capsys)
+
+    def test_closure_table_above_the_bound(self, capsys):
+        # 3^11 = 177,147 rows: refused at once, where the enumeration ran 10 s
+        # to 776 MB before stopping at its cap.
+        assert main([
+            "closure", "--n", "11", "--mod", "3", "--k", "1", "--r", "2", "--power", "1",
+        ]) == 1
+        assert self.one_line(capsys) == (
+            "closure: a table of 3^11 matrix rows is above the bound 100000\n"
+        )
+
+    def test_closure_enumeration_cap(self, capsys, monkeypatch):
+        def capped(n, m):
+            return modgroups.enumerate_group(n, m, modgroups.sl_generators(n, m), cap=100)
+
+        monkeypatch.setattr(modgroups, "sl_group", capped)
+        assert main([
+            "closure", "--n", "3", "--mod", "4", "--k", "2", "--r", "1", "--power", "2",
+        ]) == 1
+        assert self.one_line(capsys) == "closure exceeded cap of 100 elements\n"
 
     def test_order_zero_cap(self, capsys):
         assert main(["order", "--rank", "2", "--cap-power", "0", "P(1,2)"]) == 1

@@ -10,7 +10,7 @@ from autfn.runner import (
     Evaluator, bundled_anchor_list, bundled_corpus_dir, lint_scenarios,
     replay_all, run_text,
 )
-from autfn.scenario import Parser
+from autfn.scenario import AutIdent, Parser
 
 
 def _golden(name):
@@ -70,6 +70,31 @@ class TestRunOutcomes:
         assert record.detail == (
             "EnumerationCapError: closure exceeded cap of 1000000 elements"
         )
+
+    def test_identity_in_every_position(self):
+        # ``id`` parses to AutIdent(), an empty NamedTuple and so falsy: a
+        # node is never tested for truth, only for its class or for None.
+        assert not AutIdent()
+        report = run_text(
+            "rank 2\n"
+            "aut f = id\n"
+            "aut g = id^-3 * id\n"
+            "assert f == id\n"
+            "assert id == g * id^2\n"
+            "assert id != P(1,2)\n"
+            "assert id ~ C(1,2)\n"
+            "assert order id == 1\n"
+            "assert outorder id * C(1,2) == 1\n"
+            "assert det id == 1\n"
+            "assert matrix id == id\n"
+            "assert matrix id mod 3 == id\n"
+            "assert level 5 id\n"
+            "assert torelli id\n"
+            "assert inner id witness e\n"
+            "assert id fixes x1 x2^-1\n"
+            "assert id maps x2 -> x2\n"
+        )
+        assert [r.status for r in report.records] == ["pass"] * 14, report.human()
 
     def test_json_schema(self):
         report = run_text("rank 2\nassert id == id")

@@ -7,7 +7,10 @@ from hypothesis import given, settings, strategies as st
 from autfn.endos import NAMED_KINDS
 from autfn.graphs import CONSTRUCTORS, Graph
 from autfn.runner import bundled_corpus_dir
-from autfn.scenario import KEYWORDS, PUNCT, ParseError, lex, parse_scenario
+from autfn.scenario import (
+    KEYWORDS, MAX_OBSTRUCTION_SIZE, PUNCT, AutName, CheckStmt, NoteStmt, ParseError, lex,
+    parse_scenario,
+)
 
 
 class TestParseBasics:
@@ -226,16 +229,26 @@ class TestPrettyRoundTrip:
         s = parse_scenario(src, "t")
         assert parse_scenario(s.pretty(), "t") == s
 
+    # Nodes are NamedTuples, whose equality ignores the class, so each
+    # round trip also compares reprs, which name the class of every node.
+
     def test_all_bundled_scenarios_round_trip(self):
         for path in sorted(bundled_corpus_dir().glob("*.scn")):
             s = parse_scenario(path.read_text(), name=path.stem)
             reparsed = parse_scenario(s.pretty(), name=path.stem)
             assert reparsed == s, path.name
-
+            assert repr(reparsed) == repr(s), path.name
 
     def test_nested_power_round_trips(self):
         s = parse_scenario("rank 2\naut f = (P(1,2)^2)^-3")
-        assert parse_scenario(s.pretty()) == s
+        reparsed = parse_scenario(s.pretty())
+        assert reparsed == s
+        assert repr(reparsed) == repr(s)
+
+    def test_repr_tells_apart_nodes_that_compare_equal(self):
+        # The reason for the repr comparisons above.
+        assert AutName("f") == NoteStmt("f")
+        assert repr(AutName("f")) != repr(NoteStmt("f"))
 
 
 class TestCheckStatements:
@@ -298,9 +311,21 @@ class TestCheckStatements:
 
     def test_row_table_at_the_bound_parses(self):
         s = parse_scenario(
-            "rank 3\ncheck order(sl, 5, 10) == 1\ncheck obstruction(1000) == rejected"
+            "rank 3\ncheck order(sl, 5, 10) == 1\ncheck obstruction(100) == rejected"
         )
-        assert [c.args for c in s.statements[1:]] == [("sl", 5, 10), (1000,)]
+        assert [c.args for c in s.statements[1:]] == [("sl", 5, 10), (100,)]
+
+    @pytest.mark.parametrize("size", ["101", "1000", "0"])
+    def test_obstruction_size_out_of_bounds_is_located(self, size):
+        with pytest.raises(ParseError) as exc:
+            parse_scenario(f"rank 3\ncheck obstruction({size}) == rejected")
+        assert (exc.value.line, exc.value.col, exc.value.message) == (
+            2, 19, f"obstruction needs a size n from 1 to {MAX_OBSTRUCTION_SIZE}, found {size}",
+        )
+
+    def test_small_obstruction_sizes_still_parse(self):
+        s = parse_scenario("rank 3\ncheck obstruction(4) == rejected")
+        assert s.statements[1] == CheckStmt("obstruction", (4,), ("rejected",))
 
     def test_constant_arguments_are_bounded_by_value(self):
         s = parse_scenario("rank 3\nconst Q = 2\ncheck order(psl, 3, Q) == 168")
@@ -563,4 +588,6 @@ def generated_scenarios(draw):
 @given(generated_scenarios())
 def test_generated_scenarios_round_trip(text):
     s = parse_scenario(text)
-    assert parse_scenario(s.pretty()) == s
+    reparsed = parse_scenario(s.pretty())
+    assert reparsed == s
+    assert repr(reparsed) == repr(s)

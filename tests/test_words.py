@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from autfn.words import (
-    RankMismatchError, Word, cyclic_reduce, format_word, invert, multiply,
-    parse_word, reduce,
+    MAX_LITERAL_LETTERS, RankMismatchError, Word, cyclic_reduce, format_word,
+    invert, multiply, parse_word, reduce,
 )
 
 
@@ -122,3 +122,19 @@ def test_parse_exponent_runs():
         parse_word("x9", 3)
     with pytest.raises(ValueError):
         parse_word("y1", 3)
+
+
+def test_parse_word_writes_out_at_most_the_literal_bound():
+    assert len(parse_word(f"x1^{MAX_LITERAL_LETTERS}", 2)) == MAX_LITERAL_LETTERS
+    assert len(parse_word("x1^5000 x2^-5000", 2)) == MAX_LITERAL_LETTERS
+    # Refused before any letter is written out, so a huge exponent costs
+    # nothing; the bound counts letters written, before cancellation.
+    for text in ("x1^4000000000000", "x1^5000 x2^-5001", "x1^6000 x1^-6000"):
+        with pytest.raises(ValueError, match=f"more than {MAX_LITERAL_LETTERS} letters"):
+            parse_word(text, 2)
+
+
+def test_scenario_literals_share_the_bound():
+    from autfn import scenario
+
+    assert scenario.MAX_LITERAL_LETTERS is MAX_LITERAL_LETTERS
