@@ -33,15 +33,20 @@ lifts I + pA of the identity that are members of the group, and its
 additive model is checked on the products of each kernel element with each
 kernel generator, which covers every pair by induction
 (:func:`kernel_of_reduction`).
+
+Subspaces of F_p^(n x n), p prime, come from one spin-up (:func:`_spin`):
+the closure of some seeds under some linear maps, as a reduced echelon
+basis of codes mod p.  The mod-p^2 closure span is one such rank and builds
+no group, and the GF(2) orbit scan names each orbit by one spin.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import cached_property, lru_cache, reduce
-from itertools import islice, product, repeat
+from functools import cached_property, lru_cache
+from itertools import islice, product
 from operator import mul
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 Mat = int
 
@@ -540,6 +545,58 @@ def is_simple(group: FiniteMatrixGroup) -> bool:
     return True
 
 
+# --- F_p spans -----------------------------------------------------------------
+
+
+def _spin(
+    seeds: Iterable[Mat], maps: Sequence[Callable[[Mat], Mat]], n: int, p: int
+) -> tuple[Mat, ...]:
+    """Reduced echelon basis, as codes mod the prime p in decreasing order,
+    of the smallest subspace of F_p^(n x n) that holds the seeds and is
+    mapped into itself by the linear ``maps``.
+
+    Each vector that enlarges the span is queued, and its images are added
+    in turn.  The basis is kept reduced, keyed by pivot: the first nonzero
+    entry, 1 in its row and 0 in the others.  For p = 2 a code is its own
+    row (bit k is entry n^2 - 1 - k) and a row operation is one XOR; for
+    odd p a row is the list of entries.
+    """
+    if p == 2:
+        row = code = int
+        lead = lambda v: v.bit_length() - 1  # -1 for the zero row
+        clear = lambda v, k, b: v ^ b if v >> k & 1 else v
+        unit = lambda v, k: v
+    else:
+        row = lambda x: list(decode(x, n, p))
+        code = lambda v: encode(v, p)
+        lead = lambda v: next((k for k, e in enumerate(v) if e), -1)
+        clear = lambda v, k, b: (
+            [(e - c * f) % p for e, f in zip(v, b)] if (c := v[k]) else v
+        )
+        unit = lambda v, k: [e * pow(v[k], -1, p) % p for e in v]
+    basis: dict[int, Any] = {}  # pivot -> row
+
+    def adds(x: Mat) -> bool:
+        """Reduce x by the basis, and add what is left if it is not zero."""
+        v = row(x)
+        for k, b in basis.items():
+            v = clear(v, k, b)
+        k = lead(v)
+        if k < 0:
+            return False
+        v = unit(v, k)
+        for j, b in basis.items():
+            basis[j] = clear(b, k, v)
+        basis[k] = v
+        return True
+
+    queue = [x for x in seeds if adds(x)]
+    while queue:
+        x = queue.pop()
+        queue += [y for y in (f(x) for f in maps) if adds(y)]
+    return tuple(sorted(map(code, basis.values()), reverse=True))
+
+
 # --- reduction kernels -------------------------------------------------------
 
 
@@ -710,52 +767,20 @@ def closure_equals_reduction_kernel(n: int, p: int, power: int) -> bool:
 
 
 def closure_spans_kernel_additively(n: int, p: int, seed_pos: tuple[int, int]) -> bool:
-    """Kernel-level check that avoids enumerating SL_n(Z/p^2).
+    """Do the additive parts A of the normal closure of e_{k,r}^p in
+    SL_n(Z/p^2) span the whole trace-zero space over F_p?
 
-    The kernel of SL_n(Z/p^2) -> SL_n(Z/p) is abelian: (I+pA)(I+pB) = I+p(A+B),
-    so a subgroup of it is an F_p-span.  Close the seed e_{k,r}^p under
-    conjugation by the elementary generators (staying inside the kernel) and
-    test whether the additive parts span the full trace-zero space.
+    The reduction kernel is abelian, (I + pA)(I + pB) = I + p(A + B), so the
+    closure is the F_p-span of the parts of the conjugates of I + pE_{k,r}.
+    Conjugating I + pA by g gives I + p g A g^-1, whose part depends on g
+    mod p alone, so that span is the spin of E_{k,r} under conjugation by
+    the generators of SL_n(Z/p) (:func:`_spin`).  No group is built.
     """
-    m = p * p
     k, r = seed_pos
-    seed = elementary_mat(k, r, p, n, m)
-    reduce_p = _projection(n, m, p)
-    ident_small = mat_identity(n, p)
-    if reduce_p(seed) != ident_small:
-        raise ValueError("seed does not lie in the reduction kernel")
-    space = _space(n, m)
-    conjugators = [space.conjugator(g) for g in sl_generators(n, m)]
-    seen = {seed}
-    queue = [seed]
-    while queue:
-        x = queue.pop()
-        for conj in conjugators:
-            y = conj(x)
-            if y not in seen:
-                if reduce_p(y) != ident_small:
-                    raise AssertionError("conjugate left the kernel")
-                seen.add(y)
-                queue.append(y)
-
-    # F_p Gaussian elimination on the additive parts.
-    ident = mat_identity(n, m)
-
-    def additive(e: Mat) -> list[int]:
-        return list(decode((e - ident) // p, n, m))
-
-    basis: list[list[int]] = []
-    pivots: list[int] = []
-    for vec in map(additive, sorted(seen)):
-        for b, piv in zip(basis, pivots):
-            if vec[piv] != 0:
-                scale = vec[piv] * pow(b[piv], -1, p)
-                vec = [(x - scale * y) % p for x, y in zip(vec, b)]
-        nz = next((i for i, x in enumerate(vec) if x != 0), None)
-        if nz is not None:
-            basis.append(vec)
-            pivots.append(nz)
-    return len(basis) == n * n - 1
+    seed = elementary_mat(k, r, 1, n, p) - mat_identity(n, p)
+    space = _space(n, p)
+    maps = [space.conjugator(g) for g in sl_generators(n, p)]
+    return len(_spin([seed], maps, n, p)) == n * n - 1
 
 
 # --- section (splitting) searches --------------------------------------------
@@ -791,7 +816,7 @@ def section_search(
     space = _space(n, m)
     ident = mat_identity(n, m)
     good_a, good_b = (
-        [x for x in fiber if reduce(space.mul, repeat(x, k), ident) == ident]
+        [x for x in fiber if mat_pow(x, k, n, m) == ident]
         for fiber, k in ((fiber_a, order_a), (fiber_b, order_b))
     )
     pairs_tried = len(fiber_a) * len(fiber_b)
@@ -947,77 +972,51 @@ class SubrepScan(NamedTuple):
 def invariant_subreps(n: int) -> SubrepScan:
     """Span of the conjugation orbit of every nonzero trace-zero matrix.
 
-    Each such span is the smallest invariant subspace containing its seed, so
-    the set of spans determines all invariant subspaces: any invariant W is a
-    union of spans of its members.  A matrix is its code mod 2, one bit per
-    entry; conjugation is GF(2)-linear, so each generator acts through two
-    tables, one for the low byte of the code and one for the rest.
+    Each such span is the smallest invariant subspace containing its seed,
+    so the set of spans determines all invariant subspaces: any invariant W
+    is a union of spans of its members.  Members of an orbit share one span,
+    the spin of any of them (:func:`_spin`).  A matrix is its code mod 2,
+    one bit per entry; conjugation is GF(2)-linear, so in the orbit scan
+    each generator acts through two tables, one for the low byte of the code
+    and one for the rest.
     """
     if n not in (3, 4):
         raise ValueError("scan is sized for n in {3, 4}")
     cells = n * n
     space = _space(n, 2)
+    conjugators = [space.conjugator(g) for g in sl_generators(n, 2)]
     conjugations = []
-    for g in sl_generators(n, 2):
-        images = list(map(space.conjugator(g), (1 << bit for bit in range(cells))))
+    for conj in conjugators:
+        images = list(map(conj, (1 << bit for bit in range(cells))))
         conjugations.append((_xor_table(images[:8]), _xor_table(images[8:])))
     identity_mask = mat_identity(n, 2)
     full_dim = cells - 1
 
     seen = bytearray(1 << cells)
-    spans: dict[tuple[int, ...], int] = {}  # echelon signature -> dim
-    scalar_span_found = False
+    spans: set[tuple[int, ...]] = set()  # reduced echelon bases
     for v in range(1, 1 << cells):
         if seen[v] or (v & identity_mask).bit_count() % 2:
             continue
-        orbit = {v}
-        frontier = [v]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                low, high = x & 0xFF, x >> 8
-                for low_table, high_table in conjugations:
-                    y = low_table[low] ^ high_table[high]
-                    if y not in orbit:
-                        orbit.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        for x in orbit:
-            seen[x] = 1
-        # Echelon basis keyed by leading bit; every vector is trace-zero, so
-        # a basis of full_dim vectors already spans the whole space.
-        by_top: dict[int, int] = {}
-        for w in orbit:
-            while w:
-                b = by_top.get(w.bit_length())
-                if b is None:
-                    by_top[w.bit_length()] = w
-                    break
-                w ^= b
-            if len(by_top) == full_dim:
-                break
-        basis = [by_top[top] for top in sorted(by_top, reverse=True)]
-        # Clear pivot bits from the other rows so the signature is canonical
-        # for the subspace, not for the particular orbit that produced it.
-        for i in range(len(basis)):
-            pivot = 1 << (basis[i].bit_length() - 1)
-            for j in range(len(basis)):
-                if i != j and basis[j] & pivot:
-                    basis[j] ^= basis[i]
-        signature = tuple(sorted(basis))
-        spans[signature] = len(basis)
-        if signature == (identity_mask,):
-            scalar_span_found = True
+        seen[v] = 1
+        queue = [v]
+        while queue:  # marks v's orbit, which no earlier orbit meets
+            x = queue.pop()
+            low, high = x & 0xFF, x >> 8
+            for low_table, high_table in conjugations:
+                y = low_table[low] ^ high_table[high]
+                if not seen[y]:
+                    seen[y] = 1
+                    queue.append(y)
+        spans.add(_spin([v], conjugators, n, 2))
+    scalar_span_found = (identity_mask,) in spans
 
-    dims = tuple(sorted(set(spans.values())))
+    dims = tuple(sorted({len(basis) for basis in spans}))
     labels = ["0"]
     if scalar_span_found:
         labels.append("scalars")
     if full_dim in dims:
         labels.append("full")
-    complete = all(
-        d == full_dim or (d == 1 and scalar_span_found) for d in dims
-    )
+    complete = all(d == full_dim or (d == 1 and scalar_span_found) for d in dims)
     return SubrepScan(
         n=n,
         dim=full_dim,

@@ -5,12 +5,12 @@ layout, constants, words, automorphisms, graphs, graph automorphisms, bases)
 followed by assertions and finite-group checks.  Parsing is LL(1) with
 longest-match lexing; every diagnostic carries line/column and the expected
 token set.  Name resolution, rank bounds and the lower bounds of finite-group
-check arguments (a family sl or psl, a size n >= 1, a modulus >= 2) are
-checked at parse time, so a parsed scenario is internally consistent.  Sizes
-are bounded there too: a check may build a table of at most
-``MAX_CHECK_ROWS`` matrix rows (m^n, with m the modulus it works in), a check
-whose group is too large within that bound stops at an enumeration cap, and
-``obstruction(n)`` takes n up to ``MAX_OBSTRUCTION_SIZE``.
+check arguments (a family sl or psl, a size n >= 1, a modulus >= 2, a
+prime p) are checked at parse time, so a parsed scenario is internally
+consistent.  Sizes are bounded there too: a check may build a table of at
+most ``MAX_CHECK_ROWS`` matrix rows (m^n, with m the modulus it works in), a
+check whose group is too large within that bound stops at an enumeration
+cap, and ``obstruction(n)`` takes n up to ``MAX_OBSTRUCTION_SIZE``.
 
 Syntax-tree nodes are ``typing.NamedTuple`` classes, cheap to build at
 import, and two nodes are equal when their fields are equal.  Tuple equality
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import re
 from itertools import product
-from math import prod
+from math import isqrt, prod
 from typing import Callable, NamedTuple, Optional, TypeVar, Union
 
 from .endos import NAMED_KINDS
@@ -550,11 +550,19 @@ class Scenario(NamedTuple):
 # 3 x 3 generating pair, so its size is that of the pair, and the ``subreps``
 # scan is sized for n in {3, 4}.  ``obstruction`` takes any size up to
 # ``MAX_OBSTRUCTION_SIZE``: it reports the sizes it is not built for as
-# ``rejected``.
+# ``rejected``.  ``closure_span`` works over the field F_p, so its p is a
+# prime; a p above isqrt(MAX_CHECK_ROWS) passes here and its table of at
+# least p^2 rows is refused, so trial division never runs past that bound.
 _ARG_KINDS: dict[str, tuple[str, Callable[[int | str], bool]]] = {
     "family": ("a group family, sl or psl", lambda v: v in ("sl", "psl")),
     "size": ("a size n >= 1", lambda v: isinstance(v, int) and v >= 1),
     "modulus": ("a modulus >= 2", lambda v: isinstance(v, int) and v >= 2),
+    "prime": (
+        "a prime p",
+        lambda v: isinstance(v, int) and v >= 2 and (
+            v > isqrt(MAX_CHECK_ROWS) or all(v % d for d in range(2, isqrt(v) + 1))
+        ),
+    ),
     "fixture": ("the size 3 of the fixture pair", lambda v: v == 3),
     "scan": ("a size 3 or 4 of the scan", lambda v: v in (3, 4)),
     "system": (
@@ -566,14 +574,15 @@ _ARG_KINDS: dict[str, tuple[str, Callable[[int | str], bool]]] = {
 # Each check's argument kinds, and the modulus m and size n of the table of
 # m^n matrix rows (``modgroups._Space``) it builds, or None for no table.
 # The reduction checks work mod p^2, and ``splitting_fixture`` embeds
-# SL_n(Z/p) in dimension n + 2.
+# SL_n(Z/p) in dimension n + 2.  ``closure_span`` builds its table mod p
+# alone, but keeps the bound of p^2, so the sizes it accepts do not grow.
 _CHECK_FNS: dict[str, tuple[tuple[str, ...], Callable[..., Optional[tuple[int, int]]]]] = {
     "order": (("family", "size", "modulus"), lambda _, n, m: (m, n)),
     "center": (("family", "size", "modulus"), lambda _, n, m: (m, n)),
     "simple": (("family", "size", "modulus"), lambda _, n, m: (m, n)),
     "kernel": (("size", "modulus"), lambda n, p: (p * p, n)),
     "closure_kernel": (("size", "modulus", "integer"), lambda n, p, _: (p * p, n)),
-    "closure_span": (("size", "modulus"), lambda n, p: (p * p, n)),
+    "closure_span": (("size", "prime"), lambda n, p: (p * p, n)),
     "splitting": (("fixture", "modulus"), lambda n, p: (p * p, n)),
     "splitting_fixture": (("size", "modulus"), lambda n, p: (p, n + 2)),
     "subreps": (("scan",), lambda n: (2, n)),

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import islice, permutations, product
 from math import gcd
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import autfn.modgroups as modgroups
 from autfn.modgroups import (
     _CHUNK, EnumerationCapError, _additive_pairs, _additive_parts, _closure,
-    _extend, _projection, _reduction, _space, center,
+    _extend, _projection, _reduction, _space, _spin, center,
     closure_equals_reduction_kernel, closure_spans_kernel_additively,
     conjugacy_classes, decode, elementary_mat, encode, enumerate_group,
     find_generating_pair, invariant_subreps, is_simple, kernel_of_reduction,
@@ -783,11 +784,179 @@ class TestObstruction:
         assert violations == 1
 
 
+def _reference_closure_spans(n, p, seed_pos):
+    """Test oracle for :func:`closure_spans_kernel_additively`: walk the
+    conjugation orbit of e_{k,r}^p through SL_n(Z/p^2) codes, checking that
+    it stays in the reduction kernel, and eliminate the additive parts of the
+    orbit over F_p."""
+    m = p * p
+    k, r = seed_pos
+    seed = elementary_mat(k, r, p, n, m)
+    reduce_p = _projection(n, m, p)
+    ident_small = mat_identity(n, p)
+    assert reduce_p(seed) == ident_small
+    space = _space(n, m)
+    conjugators = [space.conjugator(g) for g in sl_generators(n, m)]
+    seen = {seed}
+    queue = [seed]
+    while queue:
+        x = queue.pop()
+        for conj in conjugators:
+            y = conj(x)
+            if y not in seen:
+                assert reduce_p(y) == ident_small, "conjugate left the kernel"
+                seen.add(y)
+                queue.append(y)
+
+    ident = mat_identity(n, m)
+    basis, pivots = [], []
+    for e in sorted(seen):
+        vec = list(decode((e - ident) // p, n, m))
+        for b, piv in zip(basis, pivots):
+            if vec[piv] != 0:
+                scale = vec[piv] * pow(b[piv], -1, p)
+                vec = [(x - scale * y) % p for x, y in zip(vec, b)]
+        nz = next((i for i, x in enumerate(vec) if x != 0), None)
+        if nz is not None:
+            basis.append(vec)
+            pivots.append(nz)
+    return len(basis) == n * n - 1
+
+
+def _seeds(n):
+    return [(k, r) for k in range(1, n + 1) for r in range(1, n + 1) if k != r]
+
+
+def _conjugation_maps(n, p):
+    space = _space(n, p)
+    return [space.conjugator(g) for g in sl_generators(n, p)]
+
+
+class TestSpin:
+    @pytest.mark.parametrize("n, p", [(n, p) for n in (2, 3, 4) for p in (2, 3)])
+    def test_identity_spins_to_its_line(self, n, p):
+        ident = mat_identity(n, p)
+        assert _spin([ident], _conjugation_maps(n, p), n, p) == (ident,)
+
+    @pytest.mark.parametrize("n, p", [(n, p) for n in (2, 3, 4) for p in (2, 3)])
+    def test_elementary_spins_to_the_trace_zero_space(self, n, p):
+        seed = elementary_mat(1, 2, 1, n, p) - mat_identity(n, p)
+        basis = _spin([seed], _conjugation_maps(n, p), n, p)
+        assert len(basis) == n * n - 1
+        for b in basis:
+            assert sum(decode(b, n, p)[:: n + 1]) % p == 0
+        # The scalars lie in it exactly when p divides n = tr I.
+        with_ident = _spin([*basis, mat_identity(n, p)], [], n, p)
+        assert (with_ident == basis) == (n % p == 0)
+
+    @pytest.mark.parametrize("n, p", [(2, 2), (3, 2), (3, 3), (4, 2), (2, 5)])
+    def test_basis_is_reduced_and_independent_of_seed_order(self, n, p):
+        rng = random.Random(n * 10 + p)
+        seeds = [rng.randrange(p ** (n * n)) for _ in range(3)]
+        basis = _spin(seeds, [], n, p)
+        assert 0 < len(basis) <= 3
+        for perm in permutations(seeds):
+            assert _spin(perm, [], n, p) == basis
+        for s in seeds:
+            assert _spin([*basis, s], [], n, p) == basis
+        rows = [decode(b, n, p) for b in basis]
+        pivots = [next(i for i, e in enumerate(row) if e) for row in rows]
+        assert pivots == sorted(pivots)
+        for row, piv in zip(rows, pivots):
+            assert [other[piv] for other in rows] == [int(o is row) for o in rows]
+
+    def test_zero_seed_spans_nothing(self):
+        assert _spin([0], _conjugation_maps(3, 3), 3, 3) == ()
+
+
 def test_mod9_closure_spans_kernel():
-    for k in range(1, 4):
-        for r in range(1, 4):
-            if k != r:
-                assert closure_spans_kernel_additively(3, 3, (k, r))
+    assert all(closure_spans_kernel_additively(3, 3, s) for s in _seeds(3))
+
+
+class TestClosureSpan:
+    @pytest.mark.parametrize("n, p", [(n, p) for n in (2, 3, 4) for p in (2, 3)])
+    def test_agrees_with_the_orbit_walk(self, n, p):
+        for seed in _seeds(n):
+            want = _reference_closure_spans(n, p, seed)
+            assert closure_spans_kernel_additively(n, p, seed) == want
+
+    @pytest.mark.parametrize("seed", [(1, 1), (0, 2), (1, 4)])
+    def test_bad_seed_raises(self, seed):
+        with pytest.raises(ValueError):
+            closure_spans_kernel_additively(3, 3, seed)
+
+    def test_builds_nothing_mod_p_squared(self, monkeypatch):
+        _space.cache_clear()
+        built = []
+        honest = modgroups._Space
+
+        def recording(n, m):
+            built.append((n, m))
+            return honest(n, m)
+
+        monkeypatch.setattr(modgroups, "_Space", recording)
+        try:
+            assert closure_spans_kernel_additively(3, 3, (1, 2))
+        finally:
+            _space.cache_clear()
+        assert built == [(3, 3)]
+
+    def test_five_by_five_mod_nine_is_quick(self):
+        # The orbit walk took about 9 s for these 20 seeds.
+        start = time.perf_counter()
+        record = _check("closure_span(5, 3) == true")
+        assert time.perf_counter() - start < 2.0
+        assert record.detail == "spans full trace-zero space for all seeds: True"
+
+
+def _orbits(n):
+    """Conjugation orbits of the nonzero trace-zero matrices mod 2."""
+    maps = _conjugation_maps(n, 2)
+    ident = mat_identity(n, 2)
+    seen, orbits = set(), []
+    for v in range(1, 1 << (n * n)):
+        if v in seen or (v & ident).bit_count() % 2:
+            continue
+        orbit, queue = {v}, [v]
+        while queue:
+            x = queue.pop()
+            for f in maps:
+                if (y := f(x)) not in orbit:
+                    orbit.add(y)
+                    queue.append(y)
+        seen |= orbit
+        orbits.append(orbit)
+    return orbits
+
+
+def _orbit_echelon(orbit):
+    """Reduced echelon basis of the span of an orbit of bitmasks, by the
+    leading-bit elimination and pivot clearing that the scan used before
+    it spun one vector per orbit."""
+    by_top = {}
+    for w in orbit:
+        while w:
+            b = by_top.get(w.bit_length())
+            if b is None:
+                by_top[w.bit_length()] = w
+                break
+            w ^= b
+    basis = [by_top[top] for top in sorted(by_top, reverse=True)]
+    for i in range(len(basis)):
+        pivot = 1 << (basis[i].bit_length() - 1)
+        for j in range(len(basis)):
+            if i != j and basis[j] & pivot:
+                basis[j] ^= basis[i]
+    return tuple(sorted(basis, reverse=True))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_orbit_spins_match_orbit_echelons(n):
+    maps = _conjugation_maps(n, 2)
+    orbits = _orbits(n)
+    assert sum(map(len, orbits)) == 2 ** (n * n - 1) - 1
+    for orbit in orbits:
+        assert _spin([min(orbit)], maps, n, 2) == _orbit_echelon(orbit)
 
 
 def _check(line):

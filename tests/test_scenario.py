@@ -282,6 +282,10 @@ class TestCheckStatements:
             ("splitting(4, 2)", 17, "splitting needs the size 3 of the fixture pair, found 4"),
             ("subreps(1)", 15, "subreps needs a size 3 or 4 of the scan, found 1"),
             ("kernel(sl, 2)", 14, "kernel needs a size n >= 1, found sl"),
+            ("closure_span(2, 6)", 23, "closure_span needs a prime p, found 6"),
+            ("closure_span(3, 4)", 23, "closure_span needs a prime p, found 4"),
+            ("closure_span(3, 1)", 23, "closure_span needs a prime p, found 1"),
+            ("closure_span(1, 316)", 23, "closure_span needs a prime p, found 316"),
         ],
     )
     def test_argument_out_of_bounds_is_located(self, call, col, message):
@@ -298,6 +302,12 @@ class TestCheckStatements:
             ("closure_kernel(5, 10, 1)", 22, "100^5"),
             ("splitting(3, 100)", 20, "10000^3"),
             ("splitting_fixture(15, 2)", 25, "2^17"),
+            ("closure_span(9, 2)", 20, "4^9"),
+            # Refused by its table before any trial division by the prime.
+            (
+                "closure_span(1, 1000000000000000003)", 20,
+                "1000000000000000006000000000000000009^1",
+            ),
         ],
     )
     def test_oversized_row_table_is_located(self, call, col, table):
@@ -314,6 +324,13 @@ class TestCheckStatements:
             "rank 3\ncheck order(sl, 5, 10) == 1\ncheck obstruction(100) == rejected"
         )
         assert [c.args for c in s.statements[1:]] == [("sl", 5, 10), (100,)]
+
+    def test_closure_span_primes_up_to_the_bound_parse(self):
+        s = parse_scenario(
+            "rank 3\ncheck closure_span(8, 2) == true\n"
+            "check closure_span(5, 3) == true\ncheck closure_span(1, 313) == true"
+        )
+        assert [c.args for c in s.statements[1:]] == [(8, 2), (5, 3), (1, 313)]
 
     @pytest.mark.parametrize("size", ["101", "1000", "0"])
     def test_obstruction_size_out_of_bounds_is_located(self, size):
