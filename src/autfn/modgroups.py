@@ -37,7 +37,12 @@ kernel generator, which covers every pair by induction
 Subspaces of F_p^(n x n), p prime, come from one spin-up (:func:`_spin`):
 the closure of some seeds under some linear maps, as a reduced echelon
 basis of codes mod p.  The mod-p^2 closure span is one such rank and builds
-no group, and the GF(2) orbit scan names each orbit by one spin.
+no group.  The subspaces of sl_n(F_2) that conjugation keeps rest on one
+lemma: a p-group acting on a nonzero F_p-space fixes a nonzero vector.  So
+each nonzero one holds a vector fixed by the upper unitriangular 2-group P.
+Step 1 spins each nonzero vector of V^P and finds the scalars S or all of V;
+step 2 spins each class of (V/S)^P outside S, with S, and finds V.  Then the
+lattice is 0, S and V (:func:`_lattice_proof`), from a few spins.
 """
 
 from __future__ import annotations
@@ -775,6 +780,14 @@ def closure_spans_kernel_additively(n: int, p: int, seed_pos: tuple[int, int]) -
     Conjugating I + pA by g gives I + p g A g^-1, whose part depends on g
     mod p alone, so that span is the spin of E_{k,r} under conjugation by
     the generators of SL_n(Z/p) (:func:`_spin`).  No group is built.
+
+    The answer is the same for every seed.  Take the permutation matrix
+    that sends e_k to e_1 and e_r to e_2, with one row negated if its
+    determinant is -1: it is a signed permutation matrix g in SL_n(Z/p), and
+    g E_{k,r} g^-1 = +-E_{1,2}.  The spin of E_{k,r} is closed under
+    conjugation by SL_n(Z/p), so it holds +-E_{1,2} and with it that
+    vector's spin, and the same holds the other way round: all n(n - 1)
+    seeds span one subspace, and one spin decides them all.
     """
     k, r = seed_pos
     seed = elementary_mat(k, r, 1, n, p) - mat_identity(n, p)
@@ -950,73 +963,135 @@ def find_generating_pair(group: FiniteMatrixGroup) -> tuple[Mat, Mat]:
 # --- GF(2) trace-zero space and its invariant subspaces ----------------------
 
 
-def _xor_table(images: Sequence[int]) -> list[int]:
-    """table[v] = XOR of images[b] over the set bits b of v."""
-    table = [0]
-    for img in images:
-        table += [t ^ img for t in table]
-    return table
+def _fixed_classes(
+    space: Sequence[Mat],
+    maps: Sequence[Callable[[Mat], Mat]],
+    modulo: Sequence[Mat],
+    n: int,
+) -> tuple[Mat, ...]:
+    """Over F_2, with M = span(modulo) inside V = span(space): a reduced
+    echelon basis of the w in V with f(w) - w in M for every f in ``maps``,
+    each reduced mod M.  Its nonzero sums are one member of each nonzero
+    class of V/M that the maps fix.  ``modulo`` is a reduced echelon basis.
+
+    Those w are the kernel of one linear map: w -> the differences f(w) - w,
+    each reduced mod M, side by side in one integer.  Elimination on the
+    images of the basis of V, carrying along the vector that each row is the
+    image of, leaves the kernel as the vectors whose image reduces to 0.
+    """
+    cells = n * n
+
+    def reduce(v: Mat) -> Mat:
+        for b in modulo:
+            if v >> (b.bit_length() - 1) & 1:
+                v ^= b
+        return v
+
+    pivots: dict[int, tuple[int, Mat]] = {}  # lead bit -> (image, its preimage)
+    kernel = []
+    for v in space:
+        image = 0
+        for f in maps:
+            image = image << cells | reduce(f(v) ^ v)
+        while image:
+            k = image.bit_length() - 1
+            if k not in pivots:
+                pivots[k] = (image, v)
+                break
+            row, pre = pivots[k]
+            image ^= row
+            v ^= pre
+        else:
+            kernel.append(reduce(v))
+    return _spin(kernel, [], n, 2)
+
+
+def _lattice_proof(
+    space: Sequence[Mat],
+    maps: Sequence[Callable[[Mat], Mat]],
+    p_maps: Sequence[Callable[[Mat], Mat]],
+    scalars: tuple[Mat, ...],
+    n: int,
+) -> tuple[set[tuple[Mat, ...]], bool]:
+    """Try to prove that the only subspaces of V = span(space) over F_2 that
+    the linear ``maps`` keep are 0, S = span(scalars) and V.
+
+    V and S must be kept by the maps, and ``p_maps`` must be maps of a
+    2-group P in the group they generate.  The proof rests on one lemma: a
+    p-group acting on a nonzero F_p-space fixes a nonzero vector.
+
+    * Step 1.  A nonzero invariant W is kept by P, so it holds a nonzero w
+      in V^P, and with it the spin of w.  If every nonzero w in V^P spins to
+      S or to V, every nonzero W holds S or is V.
+    * Step 2.  An invariant W above S gives a nonzero W/S, kept by P, so W
+      holds some w outside S with w + S fixed by P: f(w) - w in S for each
+      f in ``p_maps``.  If the spin of w and S is V for every such class
+      w + S, W = V.
+
+    Both steps take the classes from :func:`_fixed_classes`; when S = 0 the
+    two are one.  Returns the spans computed and False at the first that
+    is neither S nor V; else S and V, the cyclic submodules of a module whose
+    lattice is {0, S, V} (without 0), and True.
+    """
+    full = _spin(space, [], n, 2)
+    seen: set[tuple[Mat, ...]] = set()
+    for modulo in ((), scalars) if scalars else ((),):
+        classes = [0]
+        for b in _fixed_classes(space, p_maps, modulo, n):
+            classes += [c ^ b for c in classes]
+        for w in classes[1:]:
+            span = _spin([w, *modulo], maps, n, 2)
+            seen.add(span)
+            if span != full and span != scalars:
+                return seen, False
+    return {span for span in (scalars, full) if span}, True
 
 
 class SubrepScan(NamedTuple):
-    """Orbit-span scan of the trace-zero GF(2) matrices under conjugation."""
+    """The subspaces of the trace-zero GF(2) matrices kept by conjugation."""
 
     n: int
     dim: int  # n^2 - 1
-    span_dims: tuple[int, ...]  # distinct orbit-span dimensions, sorted
+    span_dims: tuple[int, ...]  # distinct dimensions of cyclic submodules, sorted
     scalar_span_found: bool  # some vector spans exactly {0, I}
     classification: tuple[str, ...]  # labels among "0", "scalars", "full"
     complete: bool  # every invariant subspace is listed
 
 
 def invariant_subreps(n: int) -> SubrepScan:
-    """Span of the conjugation orbit of every nonzero trace-zero matrix.
+    """The subspaces of sl_n(F_2), the trace-zero matrices, that conjugation
+    by SL_n(F_2) keeps, for 3 <= n <= 8, proved to be 0, S and V.
 
-    Each such span is the smallest invariant subspace containing its seed,
-    so the set of spans determines all invariant subspaces: any invariant W
-    is a union of spans of its members.  Members of an orbit share one span,
-    the spin of any of them (:func:`_spin`).  A matrix is its code mod 2,
-    one bit per entry; conjugation is GF(2)-linear, so in the orbit scan
-    each generator acts through two tables, one for the low byte of the code
-    and one for the rest.
+    V = sl_n(F_2) has dimension n^2 - 1, and S is the line of I when n is
+    even (tr I = n = 0) and 0 when n is odd.  P, generated by the upper
+    adjacent transvections e_{i,i+1}, is a 2-group, so every nonzero
+    invariant subspace holds a nonzero vector fixed by P: a vector of V^P,
+    whose spins must each be S or V, and above S a class of (V/S)^P, whose
+    spins with S must each be V (:func:`_lattice_proof`).  For n = 3..8
+    these fixed spaces have dimension 1 or 2, so at most four spins decide
+    the lattice.  When both steps pass, the cyclic submodules are S and V;
+    when a step fails, the scan reports the spans it saw and is not
+    complete.
     """
-    if n not in (3, 4):
-        raise ValueError("scan is sized for n in {3, 4}")
-    cells = n * n
+    if not 3 <= n <= 8:
+        raise ValueError("subreps is sized for n from 3 to 8")
     space = _space(n, 2)
-    conjugators = [space.conjugator(g) for g in sl_generators(n, 2)]
-    conjugations = []
-    for conj in conjugators:
-        images = list(map(conj, (1 << bit for bit in range(cells))))
-        conjugations.append((_xor_table(images[:8]), _xor_table(images[8:])))
-    identity_mask = mat_identity(n, 2)
-    full_dim = cells - 1
-
-    seen = bytearray(1 << cells)
-    spans: set[tuple[int, ...]] = set()  # reduced echelon bases
-    for v in range(1, 1 << cells):
-        if seen[v] or (v & identity_mask).bit_count() % 2:
-            continue
-        seen[v] = 1
-        queue = [v]
-        while queue:  # marks v's orbit, which no earlier orbit meets
-            x = queue.pop()
-            low, high = x & 0xFF, x >> 8
-            for low_table, high_table in conjugations:
-                y = low_table[low] ^ high_table[high]
-                if not seen[y]:
-                    seen[y] = 1
-                    queue.append(y)
-        spans.add(_spin([v], conjugators, n, 2))
-    scalar_span_found = (identity_mask,) in spans
-
+    maps = [space.conjugator(g) for g in sl_generators(n, 2)]
+    unit = [1 << bit for bit in range(n * n - 1, -1, -1)]  # row-major entries
+    trace_zero = [unit[i] for i in range(n * n) if i % (n + 1)]
+    trace_zero += [unit[i * (n + 1)] | unit[-1] for i in range(n - 1)]
+    identity = mat_identity(n, 2)
+    p_maps = maps[::2]  # conjugation by the upper e_{i,i+1}
+    scalars = (identity,) if n % 2 == 0 else ()
+    spans, complete = _lattice_proof(trace_zero, maps, p_maps, scalars, n)
+    full_dim = n * n - 1
+    scalar_span_found = (identity,) in spans
     dims = tuple(sorted({len(basis) for basis in spans}))
     labels = ["0"]
     if scalar_span_found:
         labels.append("scalars")
     if full_dim in dims:
         labels.append("full")
-    complete = all(d == full_dim or (d == 1 and scalar_span_found) for d in dims)
     return SubrepScan(
         n=n,
         dim=full_dim,

@@ -547,8 +547,8 @@ class Scenario(NamedTuple):
 
 # What each kind of check argument must be, and a test of a value for it.
 # The bounds are those of ``autfn closure``; ``splitting`` reads the bundled
-# 3 x 3 generating pair, so its size is that of the pair, and the ``subreps``
-# scan is sized for n in {3, 4}.  ``obstruction`` takes any size up to
+# 3 x 3 generating pair, so its size is that of the pair, and ``subreps``
+# is sized for n from 3 to 8.  ``obstruction`` takes any size up to
 # ``MAX_OBSTRUCTION_SIZE``: it reports the sizes it is not built for as
 # ``rejected``.  ``closure_span`` works over the field F_p, so its p is a
 # prime; a p above isqrt(MAX_CHECK_ROWS) passes here and its table of at
@@ -564,7 +564,7 @@ _ARG_KINDS: dict[str, tuple[str, Callable[[int | str], bool]]] = {
         ),
     ),
     "fixture": ("the size 3 of the fixture pair", lambda v: v == 3),
-    "scan": ("a size 3 or 4 of the scan", lambda v: v in (3, 4)),
+    "scan": ("a size n from 3 to 8", lambda v: isinstance(v, int) and 3 <= v <= 8),
     "system": (
         f"a size n from 1 to {MAX_OBSTRUCTION_SIZE}",
         lambda v: isinstance(v, int) and 1 <= v <= MAX_OBSTRUCTION_SIZE,

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import autfn.modgroups as modgroups
 from autfn.modgroups import (
-    _CHUNK, EnumerationCapError, _additive_pairs, _additive_parts, _closure,
-    _extend, _projection, _reduction, _space, _spin, center,
-    closure_equals_reduction_kernel, closure_spans_kernel_additively,
+    _CHUNK, EnumerationCapError, SubrepScan, _additive_pairs, _additive_parts,
+    _closure, _extend, _lattice_proof, _projection, _reduction, _space, _spin,
+    center, closure_equals_reduction_kernel, closure_spans_kernel_additively,
     conjugacy_classes, decode, elementary_mat, encode, enumerate_group,
     find_generating_pair, invariant_subreps, is_simple, kernel_of_reduction,
     load_generating_pair, mat_identity, mat_inv, mat_mul, mat_pow, normal_closure,
@@ -737,6 +737,67 @@ class TestSectionOracle:
         assert (result.found, result.pairs_tried, result.pairs_expanded) == (True, 4, 1)
 
 
+def _xor_table(images):
+    """table[v] = XOR of images[b] over the set bits b of v."""
+    table = [0]
+    for img in images:
+        table += [t ^ img for t in table]
+    return table
+
+
+def _reference_invariant_subreps(n):
+    """Test oracle for :func:`invariant_subreps`: the span of the conjugation
+    orbit of every nonzero trace-zero matrix mod 2, found by walking all
+    2^(n^2) codes.  Each span is the smallest invariant subspace holding its
+    seed, so any invariant W is a union of spans of its members.  Members of
+    an orbit share one span, the spin of any of them; in the orbit walk each
+    generator acts through two XOR tables, one for the low byte of the code
+    and one for the rest."""
+    cells = n * n
+    space = _space(n, 2)
+    conjugators = [space.conjugator(g) for g in sl_generators(n, 2)]
+    conjugations = []
+    for conj in conjugators:
+        images = list(map(conj, (1 << bit for bit in range(cells))))
+        conjugations.append((_xor_table(images[:8]), _xor_table(images[8:])))
+    identity_mask = mat_identity(n, 2)
+    full_dim = cells - 1
+
+    seen = bytearray(1 << cells)
+    spans = set()  # reduced echelon bases
+    for v in range(1, 1 << cells):
+        if seen[v] or (v & identity_mask).bit_count() % 2:
+            continue
+        seen[v] = 1
+        queue = [v]
+        while queue:  # marks v's orbit, which no earlier orbit meets
+            x = queue.pop()
+            low, high = x & 0xFF, x >> 8
+            for low_table, high_table in conjugations:
+                y = low_table[low] ^ high_table[high]
+                if not seen[y]:
+                    seen[y] = 1
+                    queue.append(y)
+        spans.add(_spin([v], conjugators, n, 2))
+    scalar_span_found = (identity_mask,) in spans
+
+    dims = tuple(sorted({len(basis) for basis in spans}))
+    labels = ["0"]
+    if scalar_span_found:
+        labels.append("scalars")
+    if full_dim in dims:
+        labels.append("full")
+    complete = all(d == full_dim or (d == 1 and scalar_span_found) for d in dims)
+    return SubrepScan(
+        n=n,
+        dim=full_dim,
+        span_dims=dims,
+        scalar_span_found=scalar_span_found,
+        classification=tuple(labels),
+        complete=complete,
+    )
+
+
 class TestSubreps:
     def test_n3_only_zero_and_full(self):
         scan = invariant_subreps(3)
@@ -751,9 +812,35 @@ class TestSubreps:
         assert scan.scalar_span_found
         assert scan.complete
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_agrees_with_the_orbit_scan(self, n):
+        assert invariant_subreps(n) == _reference_invariant_subreps(n)
+
+    def test_sizes_five_to_eight(self):
+        start = time.perf_counter()
+        for n in range(5, 9):
+            scan = invariant_subreps(n)
+            want = ("0", "full") if n % 2 else ("0", "scalars", "full")
+            assert scan.classification == want
+            assert scan.span_dims == ((n * n - 1,) if n % 2 else (1, n * n - 1))
+            assert scan.complete
+        assert time.perf_counter() - start < 2.0
+
+    def test_a_failed_step_claims_no_lattice(self):
+        # All of M_3(F_2) = <I> + sl_3 with S = 0: I is fixed by P and spins
+        # to its own line, so the lemma-based proof must fail there.
+        maps = _conjugation_maps(3, 2)
+        ident = mat_identity(3, 2)
+        spans, proved = _lattice_proof(
+            [1 << bit for bit in range(9)], maps, maps[::2], (), 3
+        )
+        assert not proved
+        assert (ident,) in spans
+
     def test_rejects_other_sizes(self):
-        with pytest.raises(ValueError):
-            invariant_subreps(5)
+        for n in (2, 9):
+            with pytest.raises(ValueError):
+                invariant_subreps(n)
 
 
 class TestObstruction:
@@ -900,6 +987,16 @@ class TestClosureSpan:
         finally:
             _space.cache_clear()
         assert built == [(3, 3)]
+
+    @pytest.mark.parametrize("n, p", [(3, 3), (4, 2), (4, 3)])
+    def test_all_seeds_spin_to_one_basis(self, n, p):
+        maps = _conjugation_maps(n, p)
+        ident = mat_identity(n, p)
+        bases = {
+            _spin([elementary_mat(k, r, 1, n, p) - ident], maps, n, p)
+            for k, r in _seeds(n)
+        }
+        assert len(bases) == 1
 
     def test_five_by_five_mod_nine_is_quick(self):
         # The orbit walk took about 9 s for these 20 seeds.

@@ -280,7 +280,7 @@ class TestCheckStatements:
             ("kernel(3, 1)", 17, "kernel needs a modulus >= 2, found 1"),
             ("order(gl, 3, 2)", 13, "order needs a group family, sl or psl, found gl"),
             ("splitting(4, 2)", 17, "splitting needs the size 3 of the fixture pair, found 4"),
-            ("subreps(1)", 15, "subreps needs a size 3 or 4 of the scan, found 1"),
+            ("subreps(1)", 15, "subreps needs a size n from 3 to 8, found 1"),
             ("kernel(sl, 2)", 14, "kernel needs a size n >= 1, found sl"),
             ("closure_span(2, 6)", 23, "closure_span needs a prime p, found 6"),
             ("closure_span(3, 4)", 23, "closure_span needs a prime p, found 4"),
