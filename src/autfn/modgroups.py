@@ -11,9 +11,14 @@ Read in base M = m^n, a code has one digit per row, the row's own code.  Many
 maps act on each row separately: right multiplication by a fixed matrix, the
 reduction mod a divisor p of m, and transposition after either.  Such a *row
 map* is n lookups in tables of M entries, one table per row position, whose
-results add up to the image code (:func:`_row_map`).  Enumeration, normal
-closures and the kernel checks multiply through row maps of their generators,
-and conjugation by g is two of them (x g^-1, then g x g^-1 read through the
+results add up to the image code (:func:`_row_map`).  A row map takes a list
+of codes and returns the list of their images: its body is one list
+comprehension of n lookup terms, compiled once per row count n
+(:func:`_row_kernel`), so the interpreter makes one call per list, not one
+per code.  Callers hand it whole lists (a coset, the element table, a class,
+the kernel) and wrap a single code as ``[x]``.  Enumeration, normal closures
+and the kernel checks multiply through row maps of their generators, and
+conjugation by g is two of them (x g^-1, then g x g^-1 read through the
 transpose).  A table is filled by linearity, one digit of the row at a time
 (:meth:`_Space.row_products`).  Tables are built on first use, never at
 import.
@@ -49,11 +54,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property, lru_cache
-from itertools import islice, product
+from itertools import product
 from operator import mul
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 Mat = int
+RowMap = Callable[[Iterable[Mat]], "list[Mat]"]  # codes -> their images, in order
 
 
 class EnumerationCapError(RuntimeError):
@@ -79,19 +85,27 @@ def decode(code: Mat, n: int, m: int) -> bytes:
     return bytes(out)
 
 
-def _row_map(tables: Sequence[Sequence[int]], base: int) -> Callable[[Mat], Mat]:
-    """x -> sum of tables[k][row k of x], the rows being the base-``base``
-    digits of x, most significant first."""
-    backwards = tables[::-1]
+@lru_cache(maxsize=None)
+def _row_kernel(n: int) -> Callable[..., RowMap]:
+    """The one template of every row map on n rows, compiled once per n:
+    (b, t0, w0, ..., t{n-1}, w{n-1}) -> the map from xs to the list of
+    t0[x // w0] + t1[x // w1 % b] + ... + t{n-1}[x % b] for x in xs, row k
+    of x being its digit of place w_k = b^(n-1-k).  Codes are below b^n, so
+    the leading digit needs no reduction."""
+    digits = ["x"] if n == 1 else [
+        "x // w0", *(f"x // w{k} % b" for k in range(1, n - 1)), "x % b"
+    ]
+    terms = " + ".join(f"t{k}[{d}]" for k, d in enumerate(digits))
+    params = ", ".join(f"t{k}, w{k}" for k in range(n))
+    return eval(f"lambda b, {params}: lambda xs: [{terms} for x in xs]")
 
-    def apply(x: Mat) -> Mat:
-        out = 0
-        for t in backwards:
-            x, r = divmod(x, base)
-            out += t[r]
-        return out
 
-    return apply
+def _row_map(tables: Sequence[Sequence[int]], base: int) -> RowMap:
+    """xs -> [sum of tables[k][row k of x] for x in xs], the rows being the
+    base-``base`` digits of x, most significant first."""
+    n = len(tables)
+    places = (base ** (n - 1 - k) for k in range(n))
+    return _row_kernel(n)(base, *(v for pair in zip(tables, places) for v in pair))
 
 
 class _Space:
@@ -106,7 +120,7 @@ class _Space:
         self.row_entries = [
             tuple(r // w % m for w in self.place) for r in range(self.base)
         ]
-        self._conjugators: dict[Mat, Callable[[Mat], Mat]] = {}
+        self._conjugators: dict[Mat, RowMap] = {}
 
     def rows(self, a: Mat) -> list[tuple[int, ...]]:
         return [self.row_entries[a // w % self.base] for w in self.row_place]
@@ -137,8 +151,8 @@ class _Space:
             out = [o + t % m * w for o, t in zip(out, table)]
         return out
 
-    def right(self, b: Mat) -> Callable[[Mat], Mat]:
-        """x -> x * b."""
+    def right(self, b: Mat) -> RowMap:
+        """xs -> [x * b for x in xs]."""
         products = self.row_products(b)
         return _row_map([[v * w for v in products] for w in self.row_place], self.base)
 
@@ -154,20 +168,21 @@ class _Space:
             for k in range(n)
         ]
 
-    def right_transposed(self, b: Mat) -> Callable[[Mat], Mat]:
-        """x -> (x * b)^T."""
+    def right_transposed(self, b: Mat) -> RowMap:
+        """xs -> [(x * b)^T for x in xs]."""
         products = self.row_products(b)
         return _row_map([[col[v] for v in products] for col in self.column], self.base)
 
-    def conjugator(self, g: Mat) -> Callable[[Mat], Mat]:
-        """x -> g x g^-1, as (g^-1)-then-transpose followed by g^T-then-transpose.
-        Kept per g: callers ask for the conjugators of group generators."""
+    def conjugator(self, g: Mat) -> RowMap:
+        """xs -> [g x g^-1 for x in xs], as (g^-1)-then-transpose followed by
+        g^T-then-transpose.  Kept per g: callers ask for the conjugators of
+        group generators."""
         step = self._conjugators.get(g)
         if step is None:
             n, m = self.n, self.m
             first = self.right_transposed(mat_inv(g, n, m))
             second = self.right_transposed(_transpose(g, n, m))
-            step = self._conjugators[g] = lambda x: second(first(x))
+            step = self._conjugators[g] = lambda xs: second(first(xs))
         return step
 
 
@@ -177,8 +192,9 @@ def _space(n: int, m: int) -> _Space:
 
 
 @lru_cache(maxsize=None)
-def _projection(n: int, m: int, p: int) -> Callable[[Mat], Mat]:
-    """Entrywise reduction mod p, from codes mod m to codes mod p."""
+def _projection(n: int, m: int, p: int) -> RowMap:
+    """Entrywise reduction mod p, from lists of codes mod m to lists of
+    codes mod p."""
     space = _space(n, m)
     rows = [encode(row, p) for row in space.row_entries]
     return _row_map(
@@ -240,9 +256,9 @@ def elementary_mat(k: int, r: int, power: int, n: int, m: int) -> Mat:
 class FiniteMatrixGroup:
     """A finite group of residue matrices, stored as a sorted table of codes.
 
-    ``normalize`` (identity by default) canonicalizes products, which is how
-    central quotients reuse this class: elements are distinguished coset
-    representatives and every product is renormalized.
+    ``normalize`` (identity by default) canonicalizes lists of products, which
+    is how central quotients reuse this class: elements are distinguished
+    coset representatives and every product is renormalized.
     """
 
     def __init__(
@@ -251,14 +267,14 @@ class FiniteMatrixGroup:
         modulus: int,
         elements: Iterable[Mat],
         generators: Sequence[Mat],
-        normalize: Optional[Callable[[Mat], Mat]] = None,
+        normalize: Optional[RowMap] = None,
     ) -> None:
         self.n = n
         self.modulus = modulus
         self.normalize = normalize
         self.elements: tuple[Mat, ...] = tuple(sorted(elements))
         self.generators: tuple[Mat, ...] = tuple(generators)
-        ident = self._norm(mat_identity(n, modulus))
+        (ident,) = self._norm([mat_identity(n, modulus)])
         if ident not in self:
             raise ValueError("table does not contain the identity")
         self.identity: Mat = ident
@@ -266,22 +282,22 @@ class FiniteMatrixGroup:
             if g not in self:
                 raise ValueError("generator missing from element table")
 
-    def _norm(self, a: Mat) -> Mat:
-        return a if self.normalize is None else self.normalize(a)
+    def _norm(self, xs: list[Mat]) -> list[Mat]:
+        return xs if self.normalize is None else self.normalize(xs)
 
-    def _normalized(self, step: Callable[[Mat], Mat]) -> Callable[[Mat], Mat]:
+    def _normalized(self, step: RowMap) -> RowMap:
         norm = self.normalize
-        return step if norm is None else (lambda x: norm(step(x)))
+        return step if norm is None else (lambda xs: norm(step(xs)))
 
     def op(self, a: Mat, b: Mat) -> Mat:
-        return self._norm(mat_mul(a, b, self.n, self.modulus))
+        return self._norm([mat_mul(a, b, self.n, self.modulus)])[0]
 
-    def right(self, b: Mat) -> Callable[[Mat], Mat]:
-        """Row map of x -> x * b."""
+    def right(self, b: Mat) -> RowMap:
+        """Row map of xs -> [x * b for x in xs]."""
         return self._normalized(_space(self.n, self.modulus).right(b))
 
-    def conjugator(self, g: Mat) -> Callable[[Mat], Mat]:
-        """Row maps of x -> g x g^-1."""
+    def conjugator(self, g: Mat) -> RowMap:
+        """Row maps of xs -> [g x g^-1 for x in xs]."""
         return self._normalized(_space(self.n, self.modulus).conjugator(g))
 
     def element_order(self, a: Mat) -> int:
@@ -295,9 +311,13 @@ class FiniteMatrixGroup:
     @cached_property
     def center(self) -> tuple[Mat, ...]:
         """Elements commuting with every generator, i.e. fixed by conjugation
-        by each; found once per group, on first use."""
-        conjugators = [self.conjugator(g) for g in self.generators]
-        return tuple(z for z in self.elements if all(c(z) == z for c in conjugators))
+        by each; found once per group, on first use.  The element list is
+        filtered one generator at a time, so each element is conjugated by
+        the generators up to the first that moves it."""
+        fixed: Sequence[Mat] = self.elements
+        for g in self.generators:
+            fixed = [z for z, y in zip(fixed, self.conjugator(g)(fixed)) if y == z]
+        return tuple(fixed)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -313,7 +333,7 @@ class FiniteMatrixGroup:
     def subgroup(self, generators: Iterable[Mat]) -> "FiniteMatrixGroup":
         """The subgroup the generators generate; it keeps as its generators
         those that enlarged it, in the order given."""
-        gens = [self._norm(g) for g in generators]
+        gens = self._norm(list(generators))
         for g in gens:
             if g not in self:
                 raise ValueError("subgroup generator outside the group")
@@ -326,8 +346,8 @@ _CHUNK = 4096  # images made between two checks of the size cap
 
 def _extend(
     elems: set[Mat],
-    steps: list[Callable[[Mat], Mat]],
-    step: Callable[[Mat], Mat],
+    steps: list[RowMap],
+    step: RowMap,
     cap: Optional[int] = None,
 ) -> None:
     """Grow ``elems``, a group H closed under the right multiplications
@@ -339,20 +359,20 @@ def _extend(
     in ``elems``, so is every image; if not, the images of the coset's
     members form a new coset, which is added and queued.  Each element is
     made once, and each coset is tested once per step (H itself only by
-    ``step``, since the old steps map H onto H).  The cap is checked every
-    ``_CHUNK`` images while a coset is filled, so at most that many elements
-    pass it before EnumerationCapError.
+    ``step``, since the old steps map H onto H).  A coset is mapped
+    ``_CHUNK`` members at a time and the cap is checked after each slice,
+    so at most that many elements pass it before EnumerationCapError.
     """
     steps.append(step)
     todo = [(list(elems), [step])]
     while todo:
         coset, by = todo.pop()
         for s in by:
-            if s(coset[0]) in elems:
+            if s(coset[:1])[0] in elems:
                 continue
-            images = map(s, coset)
             new: list[Mat] = []
-            while chunk := list(islice(images, _CHUNK)):
+            for start in range(0, len(coset), _CHUNK):
+                chunk = s(coset[start : start + _CHUNK])
                 elems.update(chunk)
                 new += chunk
                 if cap is not None and len(elems) > cap:
@@ -362,15 +382,15 @@ def _extend(
 
 def _closure(
     gens: Sequence[Mat],
-    right: Callable[[Mat], Callable[[Mat], Mat]],
+    right: Callable[[Mat], RowMap],
     identity: Mat,
     cap: Optional[int] = None,
 ) -> tuple[set[Mat], list[Mat]]:
     """Elements of the group generated by ``gens``, and the generators that
-    enlarged it; ``right(g)`` is the map x -> x * g.  A generator already
-    inside adds nothing and is skipped."""
+    enlarged it; ``right(g)`` is the row map of x -> x * g.  A generator
+    already inside adds nothing and is skipped."""
     elems = {identity}
-    steps: list[Callable[[Mat], Mat]] = []
+    steps: list[RowMap] = []
     kept: list[Mat] = []
     for g in gens:
         if g not in elems:
@@ -438,13 +458,13 @@ def quotient_by_center(group: FiniteMatrixGroup) -> FiniteMatrixGroup:
     space = _space(group.n, group.modulus)
     times = [space.right(z) for z in zs]
 
-    def rep(a: Mat) -> Mat:
-        return min(t(a) for t in times)
+    def rep(xs: list[Mat]) -> list[Mat]:
+        """The least code of each coset x Z."""
+        return list(map(min, *(t(xs) for t in times)))
 
-    reps = {rep(e) for e in group.elements}
+    reps = set(rep(group.elements))
     gen_reps: list[Mat] = []
-    for g in group.generators:
-        r = rep(g)
+    for r in rep(group.generators):
         if r not in gen_reps:
             gen_reps.append(r)
     return FiniteMatrixGroup(group.n, group.modulus, reps, gen_reps, normalize=rep)
@@ -461,7 +481,7 @@ def conjugacy_classes(group: FiniteMatrixGroup) -> list[list[Mat]]:
     elements = group.elements
     position = {e: i for i, e in enumerate(elements)}
     perms = [
-        [position[y] for y in map(group.conjugator(g), elements)]
+        [position[y] for y in group.conjugator(g)(elements)]
         for g in group.generators
     ]
     seen = [False] * len(elements)
@@ -495,15 +515,12 @@ def normal_closure(
     because every kept generator has its conjugates inside.  Once it reaches
     the order of the group it is the whole group, and the group is returned.
     """
-    candidates: list[Mat] = []
-    for s in seeds:
-        s = group._norm(s)
-        if s not in group:
-            raise ValueError("seed lies outside the group")
-        candidates.append(s)
+    candidates = group._norm(list(seeds))
+    if not all(s in group for s in candidates):
+        raise ValueError("seed lies outside the group")
     conjugators = [group.conjugator(g) for g in group.generators]
     elems = {group.identity}
-    steps: list[Callable[[Mat], Mat]] = []
+    steps: list[RowMap] = []
     gens: list[Mat] = []
     for c in candidates:  # grows while it is read
         if c in elems:
@@ -512,7 +529,7 @@ def normal_closure(
         _extend(elems, steps, group.right(c))
         if len(elems) == group.order:
             return group
-        candidates.extend(conj(c) for conj in conjugators)
+        candidates.extend(conj([c])[0] for conj in conjugators)
     return FiniteMatrixGroup(group.n, group.modulus, elems, gens, group.normalize)
 
 
@@ -541,7 +558,7 @@ def is_simple(group: FiniteMatrixGroup) -> bool:
         while todo:
             if len(met) == len(classes) or met & whole:
                 break
-            new = {class_of[y] for y in map(times, classes[todo.pop()])} - met
+            new = {class_of[y] for y in times(classes[todo.pop()])} - met
             met |= new
             todo += new
         else:
@@ -554,16 +571,18 @@ def is_simple(group: FiniteMatrixGroup) -> bool:
 
 
 def _spin(
-    seeds: Iterable[Mat], maps: Sequence[Callable[[Mat], Mat]], n: int, p: int
+    seeds: Iterable[Mat], maps: Sequence[RowMap], n: int, p: int
 ) -> tuple[Mat, ...]:
     """Reduced echelon basis, as codes mod the prime p in decreasing order,
     of the smallest subspace of F_p^(n x n) that holds the seeds and is
     mapped into itself by the linear ``maps``.
 
-    Each vector that enlarges the span is queued, and its images are added
-    in turn.  The basis is kept reduced, keyed by pivot: the first nonzero
-    entry, 1 in its row and 0 in the others.  For p = 2 a code is its own
-    row (bit k is entry n^2 - 1 - k) and a row operation is one XOR; for
+    Each round maps the vectors that enlarged the span in the round before
+    through each map, as one list, and keeps the images that enlarge it.
+    The basis is kept reduced, keyed by pivot: the first nonzero entry, 1 in
+    its row and 0 in the others, so it is the unique reduced echelon basis
+    of the span whatever order vectors arrive in.  For p = 2 a code is its
+    own row (bit k is entry n^2 - 1 - k) and a row operation is one XOR; for
     odd p a row is the list of entries.
     """
     if p == 2:
@@ -595,10 +614,9 @@ def _spin(
         basis[k] = v
         return True
 
-    queue = [x for x in seeds if adds(x)]
-    while queue:
-        x = queue.pop()
-        queue += [y for y in (f(x) for f in maps) if adds(y)]
+    frontier = [x for x in seeds if adds(x)]
+    while frontier:
+        frontier = [y for f in maps for y in f(frontier) if adds(y)]
     return tuple(sorted(map(code, basis.values()), reverse=True))
 
 
@@ -649,7 +667,7 @@ def _reduction(n: int, p: int) -> tuple[tuple[Mat, ...], int]:
     kernel = tuple(c for _, c in _identity_lifts(n, p) if c in group)
     reduce_p = _projection(n, m, p)
     image, _ = _closure(
-        [reduce_p(g) for g in group.generators], _space(n, p).right, mat_identity(n, p)
+        reduce_p(group.generators), _space(n, p).right, mat_identity(n, p)
     )
     return kernel, len(image)
 
@@ -665,7 +683,7 @@ def _additive_parts(kernel: Iterable[Mat], n: int, p: int) -> dict[Mat, Mat]:
 def _additive_pairs(
     parts: dict[Mat, Mat],
     gens: Sequence[Mat],
-    right: Callable[[Mat], Callable[[Mat], Mat]],
+    right: Callable[[Mat], RowMap],
     identity: Mat,
     n: int,
     p: int,
@@ -703,7 +721,7 @@ def _additive_pairs(
     checked = 0
     for s in gens:
         ps = parts[s]
-        products = [parts.get(y) for y in map(right(s), elems)]
+        products = [parts.get(y) for y in right(s)(elems)]
         if None in products or not {
             px + ps - pxs for px, pxs in zip(elem_parts, products)
         } <= carries:
@@ -873,7 +891,7 @@ def splitting_search(
         conjugator and the right multiplication, each built once."""
         lift = encode(decode(x, n, p), m)
         conj, times = space.conjugator(lift), space.right(lift)
-        return [times(conj(k)) for k in kernel_elems]
+        return times(conj(kernel_elems))
 
     result = section_search(
         fiber(a),
@@ -965,7 +983,7 @@ def find_generating_pair(group: FiniteMatrixGroup) -> tuple[Mat, Mat]:
 
 def _fixed_classes(
     space: Sequence[Mat],
-    maps: Sequence[Callable[[Mat], Mat]],
+    maps: Sequence[RowMap],
     modulo: Sequence[Mat],
     n: int,
 ) -> tuple[Mat, ...]:
@@ -989,10 +1007,10 @@ def _fixed_classes(
 
     pivots: dict[int, tuple[int, Mat]] = {}  # lead bit -> (image, its preimage)
     kernel = []
-    for v in space:
+    for v, *moved in zip(space, *(f(space) for f in maps)):
         image = 0
-        for f in maps:
-            image = image << cells | reduce(f(v) ^ v)
+        for fv in moved:
+            image = image << cells | reduce(fv ^ v)
         while image:
             k = image.bit_length() - 1
             if k not in pivots:
@@ -1008,8 +1026,8 @@ def _fixed_classes(
 
 def _lattice_proof(
     space: Sequence[Mat],
-    maps: Sequence[Callable[[Mat], Mat]],
-    p_maps: Sequence[Callable[[Mat], Mat]],
+    maps: Sequence[RowMap],
+    p_maps: Sequence[RowMap],
     scalars: tuple[Mat, ...],
     n: int,
 ) -> tuple[set[tuple[Mat, ...]], bool]:

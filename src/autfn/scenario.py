@@ -551,8 +551,9 @@ class Scenario(NamedTuple):
 # is sized for n from 3 to 8.  ``obstruction`` takes any size up to
 # ``MAX_OBSTRUCTION_SIZE``: it reports the sizes it is not built for as
 # ``rejected``.  ``closure_span`` works over the field F_p, so its p is a
-# prime; a p above isqrt(MAX_CHECK_ROWS) passes here and its table of at
-# least p^2 rows is refused, so trial division never runs past that bound.
+# prime, tested by trial division up to MAX_CHECK_ROWS; a p above that
+# passes here and its table of at least p rows is refused, so trial division
+# never runs past isqrt(MAX_CHECK_ROWS).
 _ARG_KINDS: dict[str, tuple[str, Callable[[int | str], bool]]] = {
     "family": ("a group family, sl or psl", lambda v: v in ("sl", "psl")),
     "size": ("a size n >= 1", lambda v: isinstance(v, int) and v >= 1),
@@ -560,7 +561,7 @@ _ARG_KINDS: dict[str, tuple[str, Callable[[int | str], bool]]] = {
     "prime": (
         "a prime p",
         lambda v: isinstance(v, int) and v >= 2 and (
-            v > isqrt(MAX_CHECK_ROWS) or all(v % d for d in range(2, isqrt(v) + 1))
+            v > MAX_CHECK_ROWS or all(v % d for d in range(2, isqrt(v) + 1))
         ),
     ),
     "fixture": ("the size 3 of the fixture pair", lambda v: v == 3),
@@ -575,14 +576,15 @@ _ARG_KINDS: dict[str, tuple[str, Callable[[int | str], bool]]] = {
 # m^n matrix rows (``modgroups._Space``) it builds, or None for no table.
 # The reduction checks work mod p^2, and ``splitting_fixture`` embeds
 # SL_n(Z/p) in dimension n + 2.  ``closure_span`` builds its table mod p
-# alone, but keeps the bound of p^2, so the sizes it accepts do not grow.
+# alone, so it is bounded by p^n rows; the largest sizes this admits take
+# seconds, (10, 3) and (16, 2) for instance.
 _CHECK_FNS: dict[str, tuple[tuple[str, ...], Callable[..., Optional[tuple[int, int]]]]] = {
     "order": (("family", "size", "modulus"), lambda _, n, m: (m, n)),
     "center": (("family", "size", "modulus"), lambda _, n, m: (m, n)),
     "simple": (("family", "size", "modulus"), lambda _, n, m: (m, n)),
     "kernel": (("size", "modulus"), lambda n, p: (p * p, n)),
     "closure_kernel": (("size", "modulus", "integer"), lambda n, p, _: (p * p, n)),
-    "closure_span": (("size", "prime"), lambda n, p: (p * p, n)),
+    "closure_span": (("size", "prime"), lambda n, p: (p, n)),
     "splitting": (("fixture", "modulus"), lambda n, p: (p * p, n)),
     "splitting_fixture": (("size", "modulus"), lambda n, p: (p, n + 2)),
     "subreps": (("scan",), lambda n: (2, n)),

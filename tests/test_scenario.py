@@ -286,6 +286,7 @@ class TestCheckStatements:
             ("closure_span(3, 4)", 23, "closure_span needs a prime p, found 4"),
             ("closure_span(3, 1)", 23, "closure_span needs a prime p, found 1"),
             ("closure_span(1, 316)", 23, "closure_span needs a prime p, found 316"),
+            ("closure_span(1, 1000)", 23, "closure_span needs a prime p, found 1000"),
         ],
     )
     def test_argument_out_of_bounds_is_located(self, call, col, message):
@@ -302,12 +303,9 @@ class TestCheckStatements:
             ("closure_kernel(5, 10, 1)", 22, "100^5"),
             ("splitting(3, 100)", 20, "10000^3"),
             ("splitting_fixture(15, 2)", 25, "2^17"),
-            ("closure_span(9, 2)", 20, "4^9"),
+            ("closure_span(17, 2)", 20, "2^17"),
             # Refused by its table before any trial division by the prime.
-            (
-                "closure_span(1, 1000000000000000003)", 20,
-                "1000000000000000006000000000000000009^1",
-            ),
+            ("closure_span(1, 1000000000000000003)", 20, "1000000000000000003^1"),
         ],
     )
     def test_oversized_row_table_is_located(self, call, col, table):
@@ -326,11 +324,16 @@ class TestCheckStatements:
         assert [c.args for c in s.statements[1:]] == [("sl", 5, 10), (100,)]
 
     def test_closure_span_primes_up_to_the_bound_parse(self):
+        # Bounded by its mod-p table of p^n rows: 2^16, 3^10 and 99991^1.
         s = parse_scenario(
             "rank 3\ncheck closure_span(8, 2) == true\n"
-            "check closure_span(5, 3) == true\ncheck closure_span(1, 313) == true"
+            "check closure_span(5, 3) == true\ncheck closure_span(1, 313) == true\n"
+            "check closure_span(16, 2) == true\ncheck closure_span(10, 3) == true\n"
+            "check closure_span(1, 99991) == true"
         )
-        assert [c.args for c in s.statements[1:]] == [(8, 2), (5, 3), (1, 313)]
+        assert [c.args for c in s.statements[1:]] == [
+            (8, 2), (5, 3), (1, 313), (16, 2), (10, 3), (1, 99991)
+        ]
 
     @pytest.mark.parametrize("size", ["101", "1000", "0"])
     def test_obstruction_size_out_of_bounds_is_located(self, size):
